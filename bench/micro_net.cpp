@@ -3,10 +3,17 @@
 // The wire and transport mechanisms behind distributed skeletons: frame
 // encode/decode throughput for task messages at several payload sizes, and
 // the one-task round-trip latency a RemoteConduit pays per process() call,
-// compared across the in-process (SPSC ring) and TCP loopback transports.
-// The Inproc-vs-Tcp gap is the price of crossing a real process boundary.
+// compared across the shared-memory ring and TCP loopback transports, and
+// remote-worker throughput as a function of the credit window. Every loop
+// with an echo peer thread runs on real time: the peer's work is invisible
+// to the driver thread's CPU clock.
 
 #include <benchmark/benchmark.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <thread>
@@ -54,6 +61,32 @@ void BM_FrameDecodeTask(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameDecodeTask)->Arg(0)->Arg(256)->Arg(4096)->Arg(65536);
 
+struct TcpPair {
+  std::shared_ptr<net::Transport> client;
+  std::shared_ptr<net::Transport> server;
+};
+
+// A connected loopback pair: TcpTransport::connect to an ephemeral
+// listening socket, and the accepted end adopted as the echo side.
+TcpPair tcp_loopback_pair() {
+  TcpPair p;
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (lfd < 0) return p;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  if (::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+      ::listen(lfd, 1) == 0 &&
+      ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+    p.client = net::TcpTransport::connect("127.0.0.1", ntohs(addr.sin_port));
+    const int cfd = p.client ? ::accept(lfd, nullptr, nullptr) : -1;
+    if (cfd >= 0) p.server = std::make_shared<net::TcpTransport>(cfd);
+  }
+  ::close(lfd);
+  return p;
+}
+
 // One task out, one result back — the steady-state unit of work of a
 // RemoteConduit — against an echo peer on its own thread.
 void round_trip_loop(benchmark::State& state, net::Transport& near,
@@ -79,27 +112,17 @@ void round_trip_loop(benchmark::State& state, net::Transport& near,
   far.close();
 }
 
-void BM_InprocRoundTrip(benchmark::State& state) {
-  auto pair = net::InprocTransport::make_pair();
-  round_trip_loop(state, *pair.a, *pair.b);
-}
-BENCHMARK(BM_InprocRoundTrip)->Unit(benchmark::kMicrosecond);
-
 void BM_TcpLoopbackRoundTrip(benchmark::State& state) {
-  net::TcpListener listener(0);
-  if (!listener.valid()) {
-    state.SkipWithError("cannot bind loopback listener");
-    return;
-  }
-  auto client = net::TcpTransport::connect("127.0.0.1", listener.port());
-  auto server = listener.accept_for(2.0);
+  auto [client, server] = tcp_loopback_pair();
   if (!client || !server) {
     state.SkipWithError("loopback connect/accept failed");
     return;
   }
   round_trip_loop(state, *client, *server);
 }
-BENCHMARK(BM_TcpLoopbackRoundTrip)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TcpLoopbackRoundTrip)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // The colocated fast path: the same round-trip over the shared-memory ring
 // pair. The gap to BM_TcpLoopbackRoundTrip is what the shm negotiation buys
@@ -112,7 +135,9 @@ void BM_ShmRoundTrip(benchmark::State& state) {
   }
   round_trip_loop(state, *pair.a, *pair.b);
 }
-BENCHMARK(BM_ShmRoundTrip)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ShmRoundTrip)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // Remote-worker throughput as a function of the credit window. window=1 is
 // the strict round-trip-per-task protocol the dataplane used to pay; larger
@@ -148,28 +173,15 @@ void credit_window_loop(benchmark::State& state,
   far->close();
 }
 
-void BM_InprocCreditThroughput(benchmark::State& state) {
-  auto pair = net::InprocTransport::make_pair();
-  credit_window_loop(state, pair.a, pair.b);
-}
-BENCHMARK(BM_InprocCreditThroughput)->Arg(1)->Arg(4)->Arg(16);
-
 void BM_TcpCreditThroughput(benchmark::State& state) {
-  net::TcpListener listener(0);
-  if (!listener.valid()) {
-    state.SkipWithError("cannot bind loopback listener");
-    return;
-  }
-  std::shared_ptr<net::Transport> client =
-      net::TcpTransport::connect("127.0.0.1", listener.port());
-  std::shared_ptr<net::Transport> server = listener.accept_for(2.0);
+  auto [client, server] = tcp_loopback_pair();
   if (!client || !server) {
     state.SkipWithError("loopback connect/accept failed");
     return;
   }
   credit_window_loop(state, std::move(client), std::move(server));
 }
-BENCHMARK(BM_TcpCreditThroughput)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_TcpCreditThroughput)->Arg(1)->Arg(4)->Arg(16)->UseRealTime();
 
 void BM_ShmCreditThroughput(benchmark::State& state) {
   auto pair = net::ShmTransport::make_pair();
@@ -179,7 +191,7 @@ void BM_ShmCreditThroughput(benchmark::State& state) {
   }
   credit_window_loop(state, pair.a, pair.b);
 }
-BENCHMARK(BM_ShmCreditThroughput)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_ShmCreditThroughput)->Arg(1)->Arg(4)->Arg(16)->UseRealTime();
 
 }  // namespace
 

@@ -69,6 +69,7 @@
 #include <deque>
 #include <fstream>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -412,7 +413,7 @@ class Daemon final : public bsk::net::EpollServer::Handler {
     pool_.stop();     // queued work drains; replies to dead conns no-op
     {
       bsk::support::MutexLock lk(shm_mu_);
-      shm_threads_.clear();  // joins; g_stop and closed segments end them
+      shm_drains_.clear();  // joins; g_stop and closed segments end them
     }
     g_registry.stop_all();
     g_server = nullptr;
@@ -734,9 +735,16 @@ class Daemon final : public bsk::net::EpollServer::Handler {
                        std::shared_ptr<bsk::net::ShmTransport> shm,
                        std::uint32_t my_epoch, ConnId conn) {
     bsk::support::MutexLock lk(shm_mu_);
-    shm_threads_.emplace_back([this, s = std::move(s), shm = std::move(shm),
-                               my_epoch, conn](const std::stop_token& st) {
+    // Join the drains of sessions that ended: an exited thread keeps its
+    // stack mapped until it is joined, so session churn would otherwise
+    // grow the daemon's address space without bound.
+    shm_drains_.remove_if([](const ShmDrain& d) { return d.done.load(); });
+    ShmDrain& d = shm_drains_.emplace_back();
+    d.thread = std::jthread([this, &done = d.done, s = std::move(s),
+                             shm = std::move(shm), my_epoch,
+                             conn](const std::stop_token& st) {
       serve_shm(st, s, shm, my_epoch, conn);
+      done.store(true);
     });
   }
 
@@ -787,8 +795,12 @@ class Daemon final : public bsk::net::EpollServer::Handler {
   std::map<ConnId, std::shared_ptr<ConnState>> conns_
       BSK_GUARDED_BY(conns_mu_);
 
+  struct ShmDrain {
+    std::atomic<bool> done{false};  ///< set by the thread as it finishes
+    std::jthread thread;
+  };
   bsk::support::Mutex shm_mu_{"bskd.shm"};
-  std::vector<std::jthread> shm_threads_ BSK_GUARDED_BY(shm_mu_);
+  std::list<ShmDrain> shm_drains_ BSK_GUARDED_BY(shm_mu_);
 };
 
 int usage(const char* argv0) {

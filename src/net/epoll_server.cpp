@@ -6,7 +6,6 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -35,11 +34,6 @@ struct EpollObs {
       obs::counter("bsk_net_frames_sent_total", "frames written to the wire");
   obs::Counter& net_rx = obs::counter("bsk_net_frames_received_total",
                                       "non-heartbeat frames decoded");
-  obs::Counter& decode_errors = obs::counter(
-      "bsk_net_decode_errors_total",
-      "connections killed by an unrecoverable framing error");
-  obs::Counter& crc_errors = obs::counter(
-      "bsk_net_crc_errors_total", "frames dropped for checksum mismatch");
   obs::Counter& accept_backoffs = obs::counter(
       "bsk_net_epoll_accept_backoffs_total",
       "accepts deferred because the process ran out of file descriptors");
@@ -160,25 +154,9 @@ bool EpollServer::flush_locked(Conn& conn) {
   // the queue for the next EPOLLOUT edge. On a hard error the fd is shut
   // down (never closed here — only the loop closes fds) so the loop reaps
   // the connection via EPOLLHUP.
-  while (!conn.out.empty() && conn.fd >= 0 && !conn.broken) {
-    iovec iov[SendQueue::kMaxIov];
-    const std::size_t cnt = conn.out.gather(iov, SendQueue::kMaxIov);
-    std::size_t gathered = 0;
-    for (std::size_t i = 0; i < cnt; ++i) gathered += iov[i].iov_len;
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = cnt;
-    const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.out.consume(static_cast<std::size_t>(n));
-      if (static_cast<std::size_t>(n) < gathered) return true;  // short write
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+  if (conn.fd >= 0 && !conn.broken && conn.out.flush_to(conn.fd) < 0) {
     conn.broken = true;
     ::shutdown(conn.fd, SHUT_RDWR);
-    return false;
   }
   return !conn.broken;
 }
@@ -299,49 +277,29 @@ void EpollServer::read_ready(const std::shared_ptr<Conn>& conn) {
     support::MutexLock lk(conn->mu);
     if (conn->fd < 0) return;  // reaped earlier in this batch
   }
-  std::uint8_t rbuf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::read(conn->raw_fd, rbuf, sizeof rbuf);
-    if (n > 0) {
-      conn->decoder.feed(rbuf, static_cast<std::size_t>(n));
-      while (auto f = conn->decoder.next()) {
-        if (f->type == FrameType::Heartbeat) continue;
+  std::uint64_t bytes = 0;
+  const ReadEnd end =
+      read_frames(conn->raw_fd, conn->decoder, bytes, [&](Frame&& f) {
+        if (f.type == FrameType::Heartbeat) return true;
         if (!conn->got_hello) {
-          // First real frame must be the handshake; anything else is not a
-          // bsk peer and is dropped without ceremony.
-          auto h = parse_hello(*f);
-          if (f->type != FrameType::Hello || !h) {
-            reap(conn);
-            return;
-          }
+          // First real frame must be the handshake; anything else is not
+          // a bsk peer and is dropped without ceremony.
+          auto h = parse_hello(f);
+          if (f.type != FrameType::Hello || !h) return false;
           conn->got_hello = true;
           epoll_obs().frames_rx.inc();
           epoll_obs().net_rx.inc();
           handler_.on_hello(conn->id, *h);
-          continue;
+          return true;
         }
         epoll_obs().frames_rx.inc();
         epoll_obs().net_rx.inc();
-        handler_.on_frame(conn->id, std::move(*f));
-      }
-      if (conn->decoder.error() != DecodeError::None) {
-        if (conn->decoder.error() == DecodeError::BadCrc)
-          epoll_obs().crc_errors.inc();
-        epoll_obs().decode_errors.inc();
-        reap(conn);
-        return;
-      }
-      continue;
-    }
-    if (n == 0) {  // EOF
-      reap(conn);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    if (errno == EINTR) continue;
-    reap(conn);  // hard socket error
-    return;
-  }
+        handler_.on_frame(conn->id, std::move(f));
+        return true;
+      });
+  // Anything but a drained socket ends the connection: EOF, a hard error,
+  // a corrupt stream, or a peer that did not open with a Hello.
+  if (end != ReadEnd::WouldBlock) reap(conn);
 }
 
 void EpollServer::write_ready(const std::shared_ptr<Conn>& conn) {

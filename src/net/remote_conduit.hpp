@@ -11,9 +11,9 @@
 //
 //   RemoteConduit — an rt::Conduit that sends pushed tasks as TaskMsg
 //     frames and turns received ResultMsg frames back into tasks.
-//     steal_back() returns nothing: tasks already committed to the wire
-//     cannot be recalled (crash recovery instead replays the in-flight copy
-//     kept on the parent side).
+//     steal_back() and steal_data_back() return nothing: tasks already
+//     committed to the wire cannot be recalled (crash recovery instead
+//     replays the in-flight copy kept on the parent side).
 //
 //   RemoteWorkerNode — an rt::Node whose computation lives in a peer
 //     process (bskd). process() pipelines up to credit_window tasks onto
@@ -100,7 +100,7 @@ class RemoteConduit final : public rt::Conduit {
   bool try_push(rt::Task t) override { return push(std::move(t)); }
 
   /// Batched push: serialize the whole batch into the transport's send
-  /// buffer under one lock and one I/O wakeup, so the frames leave in as
+  /// buffer under one lock and one flush, so the frames leave in as
   /// few segments as the kernel allows.
   std::size_t push_n(std::vector<rt::Task>& ts) override {
     if (ts.empty()) return 0;
@@ -140,6 +140,7 @@ class RemoteConduit final : public rt::Conduit {
 
   /// Tasks on the wire cannot be recalled.
   std::deque<rt::Task> steal_back(std::size_t) override { return {}; }
+  std::deque<rt::Task> steal_data_back(std::size_t) override { return {}; }
 
   rt::Link& link() override { return link_; }
   const rt::Link& link() const override { return link_; }

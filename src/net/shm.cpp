@@ -304,7 +304,8 @@ void ShmTransport::close() {
 
 bool ShmTransport::closed() const {
   if (hdr()->closed.load(std::memory_order_acquire) != 0) return true;
-  return anchor_ && anchor_->closed();
+  return anchor_ && ring_idle_seconds() >= kAnchorQuietS &&
+         anchor_->closed();
 }
 
 void ShmTransport::fail_decode(DecodeError e) {
@@ -689,19 +690,23 @@ RecvStatus ShmTransport::recv_for(Frame& out, double wall_seconds) {
   return recv_until(out, /*bounded=*/true, wall_seconds);
 }
 
-double ShmTransport::idle_seconds() const {
+double ShmTransport::ring_idle_seconds() const {
   // Peer progress is visible in the ring head even when no recv() runs, so
-  // unconsumed traffic still counts as liveness; with a TCP anchor (whose
-  // I/O thread absorbs heartbeats continuously) defer to the fresher of
-  // the two.
+  // unconsumed traffic still counts as liveness.
   const std::uint64_t head = rx_ctl().head.load(std::memory_order_acquire);
   if (head != last_rx_head_.load(std::memory_order_relaxed)) {
     last_rx_head_.store(head, std::memory_order_relaxed);
     last_rx_wall_.store(wall_now(), std::memory_order_relaxed);
   }
-  const double mine =
-      wall_now() - last_rx_wall_.load(std::memory_order_relaxed);
-  if (anchor_) return std::min(mine, anchor_->idle_seconds());
+  return wall_now() - last_rx_wall_.load(std::memory_order_relaxed);
+}
+
+double ShmTransport::idle_seconds() const {
+  // With a TCP anchor (which sees the heartbeats) defer to the fresher of
+  // the two once the ring has gone quiet.
+  const double mine = ring_idle_seconds();
+  if (anchor_ && mine >= kAnchorQuietS)
+    return std::min(mine, anchor_->idle_seconds());
   return mine;
 }
 

@@ -24,8 +24,8 @@
 // attaches and unlinks it. The TCP connection the handshake ran on stays
 // open as the *anchor*: heartbeats and control frames (Leave, Shutdown at
 // daemon stop) still travel over it, its EOF closes the shm transport, and
-// idle_seconds() delegates to it — so failure detection is identical in
-// both modes.
+// once the ring goes quiet idle_seconds() defers to it — so failure
+// detection is identical in both modes.
 
 #include <atomic>
 #include <cstdint>
@@ -138,6 +138,15 @@ class ShmTransport final : public Transport {
   void read_span(std::uint64_t from, std::uint8_t* dst, std::size_t n) const;
   void consume(std::size_t n);
   void fail_decode(DecodeError e);
+  /// Wall seconds since the peer last published into the rx ring.
+  double ring_idle_seconds() const;
+
+  /// closed()/idle_seconds() consult the TCP anchor only once the rx ring
+  /// has been quiet this long: a peer visibly writing into the ring is
+  /// alive, and a look at the anchor may drain its socket — a syscall the
+  /// per-task hot path (RemoteWorkerNode::failed()) must not pay while
+  /// traffic flows.
+  static constexpr double kAnchorQuietS = 0.005;
 
   std::shared_ptr<shm_detail::Mapping> map_;
   bool creator_ = false;  ///< selects which ring this end produces

@@ -9,12 +9,14 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "obs/metrics.hpp"
-#include "support/clock.hpp"
 
 namespace bsk::net {
 
@@ -76,23 +78,6 @@ void SendQueue::append_frame(const Frame& f) {
   bytes_ += slab.size() - before;
 }
 
-void SendQueue::take_all(SendQueue& from) {
-  while (!from.slabs_.empty()) {
-    slabs_.push_back(std::move(from.slabs_.front()));
-    from.slabs_.pop_front();
-  }
-  bytes_ += from.bytes_;
-  from.bytes_ = 0;
-}
-
-void SendQueue::give_spares(SendQueue& to) {
-  while (!spares_.empty() && to.spares_.size() < kMaxSpares) {
-    to.spares_.push_back(std::move(spares_.back()));
-    spares_.pop_back();
-  }
-  spares_.clear();
-}
-
 std::size_t SendQueue::gather(iovec* iov, std::size_t max) const {
   std::size_t n = 0;
   for (const Slab& s : slabs_) {
@@ -121,10 +106,55 @@ void SendQueue::consume(std::size_t n) {
   }
 }
 
-void SendQueue::clear() {
-  slabs_.clear();
-  spares_.clear();
-  bytes_ = 0;
+std::ptrdiff_t SendQueue::flush_to(int fd) {
+  std::ptrdiff_t written = 0;
+  while (!empty()) {
+    iovec iov[kMaxIov];
+    const std::size_t cnt = gather(iov, kMaxIov);
+    std::size_t gathered = 0;
+    for (std::size_t i = 0; i < cnt; ++i) gathered += iov[i].iov_len;
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = cnt;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n > 0) {
+      consume(static_cast<std::size_t>(n));
+      written += n;
+      if (static_cast<std::size_t>(n) < gathered) break;  // socket full
+      continue;  // more slabs than iovecs: keep flushing
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    return -1;
+  }
+  return written;
+}
+
+// --------------------------------------------------------------- read path
+
+ReadEnd read_frames(int fd, FrameDecoder& dec, std::uint64_t& bytes,
+                    const std::function<bool(Frame&&)>& on_frame) {
+  std::uint8_t rbuf[64 * 1024];
+  for (;;) {
+    const ssize_t n = ::read(fd, rbuf, sizeof rbuf);
+    if (n > 0) {
+      bytes += static_cast<std::uint64_t>(n);
+      dec.feed(rbuf, static_cast<std::size_t>(n));
+      while (auto f = dec.next())
+        if (!on_frame(std::move(*f))) return ReadEnd::Stopped;
+      if (dec.error() != DecodeError::None) {
+        // Corrupt stream: the framing is untrustworthy from here on.
+        if (dec.error() == DecodeError::BadCrc) net_obs().crc_errors.inc();
+        net_obs().decode_errors.inc();
+        return ReadEnd::Failed;
+      }
+      continue;
+    }
+    if (n == 0) return ReadEnd::Eof;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadEnd::WouldBlock;
+    if (errno == EINTR) continue;
+    return ReadEnd::Failed;  // hard socket error
+  }
 }
 
 // --------------------------------------------------------------- transport
@@ -145,85 +175,6 @@ bool Transport::send_serialized(FrameType type, std::size_t n,
   return send_many(fs.data(), n);
 }
 
-// ------------------------------------------------------------------ inproc
-
-InprocTransport::Pair InprocTransport::make_pair(std::size_t capacity) {
-  auto q1 = std::make_shared<Queue>(capacity);
-  auto q2 = std::make_shared<Queue>(capacity);
-  Pair p;
-  p.a = std::shared_ptr<InprocTransport>(new InprocTransport(q1, q2));
-  p.b = std::shared_ptr<InprocTransport>(new InprocTransport(q2, q1));
-  return p;
-}
-
-bool InprocTransport::send(const Frame& f) {
-  for (;;) {
-    if (out_->closed.load(std::memory_order_acquire) ||
-        in_->closed.load(std::memory_order_acquire))
-      return false;
-    // Serialize producers: the ring itself is strictly single-producer.
-    while (out_->producer_lock.test_and_set(std::memory_order_acquire))
-      std::this_thread::yield();
-    const bool pushed = !out_->closed.load(std::memory_order_acquire) &&
-                        out_->ring.push(f);
-    out_->producer_lock.clear(std::memory_order_release);
-    if (pushed) {
-      frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      net_obs().frames_sent.inc();
-      return true;
-    }
-    if (out_->closed.load(std::memory_order_acquire)) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(20));  // ring full
-  }
-}
-
-RecvStatus InprocTransport::recv_until(Frame& out, bool bounded,
-                                       double wall_seconds) {
-  const double deadline = wall_now() + wall_seconds;
-  for (;;) {
-    if (auto f = in_->ring.pop()) {
-      if (f->type == FrameType::Heartbeat) {
-        heartbeats_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      out = std::move(*f);
-      frames_received_.fetch_add(1, std::memory_order_relaxed);
-      net_obs().frames_received.inc();
-      return RecvStatus::Ok;
-    }
-    if (in_->closed.load(std::memory_order_acquire) && in_->ring.empty())
-      return RecvStatus::Closed;
-    if (bounded && wall_now() >= deadline) return RecvStatus::TimedOut;
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-}
-
-RecvStatus InprocTransport::recv(Frame& out) {
-  return recv_until(out, /*bounded=*/false, 0.0);
-}
-
-RecvStatus InprocTransport::recv_for(Frame& out, double wall_seconds) {
-  return recv_until(out, /*bounded=*/true, wall_seconds);
-}
-
-void InprocTransport::close() {
-  out_->closed.store(true, std::memory_order_release);
-  in_->closed.store(true, std::memory_order_release);
-}
-
-bool InprocTransport::closed() const {
-  return out_->closed.load(std::memory_order_acquire) ||
-         in_->closed.load(std::memory_order_acquire);
-}
-
-TransportStats InprocTransport::stats() const {
-  TransportStats s;
-  s.frames_sent = frames_sent_.load();
-  s.frames_received = frames_received_.load();
-  s.heartbeats_seen = heartbeats_.load();
-  return s;
-}
-
 // --------------------------------------------------------------------- tcp
 
 namespace {
@@ -233,22 +184,22 @@ void set_nonblock(int fd) {
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// poll() timeout for a wait of `wall_seconds` (< 0 = forever), rounded up
+/// so a short wait never degenerates into a busy loop, and capped at an
+/// hour (callers re-check their own deadline).
+int poll_ms(double wall_seconds) {
+  if (wall_seconds < 0.0) return -1;
+  return static_cast<int>(std::ceil(std::min(wall_seconds, 3600.0) * 1e3));
+}
+
 }  // namespace
 
 TcpTransport::TcpTransport(int fd, TcpOptions opts)
-    : fd_(fd),
-      opts_(opts),
-      decoder_(opts.max_frame),
-      inbound_(opts.inbound_capacity) {
+    : fd_(fd), decoder_(opts.max_frame) {
   last_rx_wall_.store(wall_now());
   set_nonblock(fd_);
   int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  if (::pipe(wake_pipe_) == 0) {
-    set_nonblock(wake_pipe_[0]);
-    set_nonblock(wake_pipe_[1]);
-  }
-  io_ = std::jthread([this] { io_loop(); });
 }
 
 std::unique_ptr<TcpTransport> TcpTransport::connect(const std::string& host,
@@ -275,8 +226,7 @@ std::unique_ptr<TcpTransport> TcpTransport::connect(const std::string& host,
       return std::make_unique<TcpTransport>(fd, opts);
     if (errno == EINPROGRESS) {
       pollfd pfd{fd, POLLOUT, 0};
-      const int timeout_ms = static_cast<int>(opts.connect_timeout_s * 1000.0);
-      if (::poll(&pfd, 1, timeout_ms) == 1) {
+      if (::poll(&pfd, 1, poll_ms(opts.connect_timeout_s)) == 1) {
         int err = 0;
         socklen_t len = sizeof err;
         ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
@@ -290,51 +240,61 @@ std::unique_ptr<TcpTransport> TcpTransport::connect(const std::string& host,
 
 TcpTransport::~TcpTransport() {
   close();
-  if (io_.joinable()) io_.join();
-  if (wake_pipe_[0] >= 0) ::close(wake_pipe_[0]);
-  if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
+  ::close(fd_);
 }
 
-void TcpTransport::wake() {
-  if (wake_pipe_[1] >= 0) {
-    const char c = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &c, 1);
+bool TcpTransport::flush_now() {
+  const std::ptrdiff_t n = outq_.flush_to(fd_);
+  if (n < 0) {
+    closed_.store(true, std::memory_order_release);  // EPIPE, RST, ...
+    return false;
+  }
+  bytes_sent_.fetch_add(static_cast<std::uint64_t>(n),
+                        std::memory_order_relaxed);
+  net_obs().bytes_sent.inc(static_cast<std::uint64_t>(n));
+  return true;
+}
+
+bool TcpTransport::flush_out(double wall_seconds) {
+  const double deadline = wall_now() + wall_seconds;
+  support::MutexLock lk(out_mu_);
+  for (;;) {
+    if (!flush_now()) return false;
+    if (outq_.empty()) return true;
+    const double left = wall_seconds < 0.0 ? -1.0 : deadline - wall_now();
+    if (wall_seconds >= 0.0 && left <= 0.0) return false;
+    // The socket is full: wait for it to drain without holding the send
+    // lock, so other senders can still queue (they flush too) and close()
+    // can shut the socket down under us.
+    lk.unlock();
+    pollfd p{fd_, POLLOUT | POLLRDHUP, 0};
+    const int rc = ::poll(&p, 1, poll_ms(left));
+    lk.lock();
+    if (rc > 0 && (p.revents & (POLLRDHUP | POLLHUP | POLLERR)))
+      return false;  // the peer is gone; the readers report Closed
   }
 }
 
-void TcpTransport::shutdown_fd() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-bool TcpTransport::send(const Frame& f) {
-  return send_many(&f, 1);
-}
+bool TcpTransport::send(const Frame& f) { return send_many(&f, 1); }
 
 bool TcpTransport::send_many(const Frame* fs, std::size_t n) {
   if (n == 0) return !closed_.load(std::memory_order_acquire);
-  if (closed_.load(std::memory_order_acquire)) return false;
   {
     // Encode the whole batch straight into the send-queue slabs: one lock,
-    // one wake, one (or few) kernel writes — the wire face of the
-    // dataplane's credit-window pipelining.
+    // one (or few) kernel writes — the wire face of the dataplane's
+    // credit-window pipelining.
     support::MutexLock lk(out_mu_);
     if (closed_.load(std::memory_order_acquire)) return false;
     for (std::size_t i = 0; i < n; ++i) outq_.append_frame(fs[i]);
   }
   frames_sent_.fetch_add(n, std::memory_order_relaxed);
   net_obs().frames_sent.inc(n);
-  wake();
-  return true;
+  return flush_out(-1.0);
 }
 
 bool TcpTransport::send_serialized(FrameType type, std::size_t n,
                                    const SerializeFn& emit) {
   if (n == 0) return !closed_.load(std::memory_order_acquire);
-  if (closed_.load(std::memory_order_acquire)) return false;
   {
     // Zero-copy path: serializers write straight into the send slabs — no
     // Frame, no payload vector, no per-frame allocation once slabs warm up.
@@ -345,169 +305,105 @@ bool TcpTransport::send_serialized(FrameType type, std::size_t n,
   }
   frames_sent_.fetch_add(n, std::memory_order_relaxed);
   net_obs().frames_sent.inc(n);
-  wake();
-  return true;
+  return flush_out(-1.0);
 }
 
-void TcpTransport::io_loop() {
-  // Private send queue: slabs are swapped out of outq_ under the lock, the
-  // gather-write below runs lock-free, and drained slab storage is donated
-  // back so steady-state sending allocates nothing.
-  SendQueue pending;
-  std::uint8_t rbuf[64 * 1024];
-  double closing_since = -1.0;
-  bool dead = false;
-
-  while (!dead) {
-    bool want_write;
-    {
-      support::MutexLock lk(out_mu_);
-      if (pending.empty()) {
-        pending.give_spares(outq_);
-        if (!outq_.empty()) pending.take_all(outq_);
-      }
-      want_write = !pending.empty();
-    }
-
-    if (closed_.load(std::memory_order_acquire)) {
-      if (!want_write) break;  // flushed: orderly shutdown
-      if (closing_since < 0.0)
-        closing_since = wall_now();
-      else if (wall_now() - closing_since > 1.0)
-        break;  // peer not draining; give up on the tail
-    }
-
-    pollfd fds[2] = {
-        {fd_, static_cast<short>(POLLIN | (want_write ? POLLOUT : 0)), 0},
-        {wake_pipe_[0], POLLIN, 0},
-    };
-    const int rc = ::poll(fds, 2, 100);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-
-    if (fds[1].revents & POLLIN) {
-      char drain[64];
-      while (::read(wake_pipe_[0], drain, sizeof drain) > 0) {
-      }
-    }
-
-    if (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) {
-      for (;;) {
-        const ssize_t n = ::read(fd_, rbuf, sizeof rbuf);
-        if (n > 0) {
-          bytes_received_.fetch_add(static_cast<std::uint64_t>(n),
-                                    std::memory_order_relaxed);
-          net_obs().bytes_received.inc(static_cast<std::uint64_t>(n));
-          last_rx_wall_.store(wall_now(), std::memory_order_relaxed);
-          decoder_.feed(rbuf, static_cast<std::size_t>(n));
-          while (auto f = decoder_.next()) {
-            if (f->type == FrameType::Heartbeat) {
-              heartbeats_.fetch_add(1, std::memory_order_relaxed);
-              continue;
-            }
-            frames_received_.fetch_add(1, std::memory_order_relaxed);
-            net_obs().frames_received.inc();
-            if (!inbound_.push(std::move(*f))) {
-              dead = true;  // closed locally while we blocked
-              break;
-            }
-          }
-          if (decoder_.error() != DecodeError::None) {
-            decode_error_.store(decoder_.error(), std::memory_order_relaxed);
-            if (decoder_.error() == DecodeError::BadCrc)
-              net_obs().crc_errors.inc();
-            net_obs().decode_errors.inc();
-            dead = true;  // corrupt stream: framing is untrustworthy
-          }
-          if (dead) break;
-          continue;
-        }
-        if (n == 0) {  // EOF: peer closed
-          dead = true;
-          break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        dead = true;  // hard socket error
-        break;
-      }
-    }
-
-    if (!dead && want_write && (fds[0].revents & POLLOUT)) {
-      // Scatter/gather flush: one sendmsg over every queued slab span.
-      // (sendmsg, not writev — only sendmsg takes MSG_NOSIGNAL, and a peer
-      // that vanished mid-write must surface as EPIPE here, never as a
-      // process-killing SIGPIPE.) A short write consumes exactly what the
-      // kernel accepted and the next POLLOUT resumes mid-span; EINTR
-      // retries on the spot.
-      for (;;) {
-        iovec iov[SendQueue::kMaxIov];
-        const std::size_t cnt = pending.gather(iov, SendQueue::kMaxIov);
-        if (cnt == 0) break;
-        std::size_t gathered = 0;
-        for (std::size_t i = 0; i < cnt; ++i) gathered += iov[i].iov_len;
-        msghdr msg{};
-        msg.msg_iov = iov;
-        msg.msg_iovlen = cnt;
-        const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-        if (n > 0) {
-          pending.consume(static_cast<std::size_t>(n));
-          bytes_sent_.fetch_add(static_cast<std::uint64_t>(n),
-                                std::memory_order_relaxed);
-          net_obs().bytes_sent.inc(static_cast<std::uint64_t>(n));
-          if (static_cast<std::size_t>(n) < gathered)
-            break;   // short write: wait for the next POLLOUT
-          continue;  // more slabs than iovecs: keep flushing
-        }
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) dead = true;
-        break;
-      }
-    }
+void TcpTransport::pump(double wall_seconds) {
+  bool tail;
+  {
+    support::MutexLock lk(out_mu_);
+    tail = !outq_.empty();
+  }
+  if (wall_seconds != 0.0) {
+    pollfd p{fd_, static_cast<short>(POLLIN | (tail ? POLLOUT : 0)), 0};
+    if (::poll(&p, 1, poll_ms(wall_seconds)) <= 0)
+      return;  // timed out, or EINTR: the caller re-checks its deadline
+  }
+  if (tail) {
+    support::MutexLock lk(out_mu_);
+    flush_now();
   }
 
-  closed_.store(true, std::memory_order_release);
-  inbound_.close();  // consumers drain parsed frames, then see Closed
-  shutdown_fd();
+  std::uint64_t bytes = 0;
+  std::deque<Frame>& inbox = inbox_;
+  const ReadEnd end = read_frames(fd_, decoder_, bytes, [&](Frame&& f) {
+    if (f.type == FrameType::Heartbeat) {
+      heartbeats_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      inbox.push_back(std::move(f));
+      frames_received_.fetch_add(1, std::memory_order_relaxed);
+      net_obs().frames_received.inc();
+    }
+    return true;
+  });
+  if (bytes > 0) {
+    bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
+    net_obs().bytes_received.inc(bytes);
+    last_rx_wall_.store(wall_now(), std::memory_order_relaxed);
+  }
+  if (end == ReadEnd::Eof || end == ReadEnd::Failed) {
+    decode_error_.store(decoder_.error(), std::memory_order_relaxed);
+    closed_.store(true, std::memory_order_release);
+  }
+}
+
+void TcpTransport::observe() const {
+  const double now = wall_now();
+  if (closed_.load(std::memory_order_acquire) ||
+      now < next_observe_wall_.load(std::memory_order_relaxed))
+    return;
+  // Observing drains the socket into the transport's inbound state; that
+  // state belongs to the connection, not to the value callers observe.
+  auto* self = const_cast<TcpTransport*>(this);
+  if (!self->rx_mu_.try_lock()) return;  // a receiver is draining already
+  next_observe_wall_.store(now + kObservePeriod, std::memory_order_relaxed);
+  self->pump(0.0);
+  self->rx_mu_.unlock();
+}
+
+RecvStatus TcpTransport::recv_until(Frame& out, bool bounded,
+                                    double wall_seconds) {
+  const double deadline = wall_now() + wall_seconds;
+  support::MutexLock lk(rx_mu_);
+  for (bool first = true;; first = false) {
+    if (!inbox_.empty()) {
+      out = std::move(inbox_.front());
+      inbox_.pop_front();
+      return RecvStatus::Ok;
+    }
+    if (closed_.load(std::memory_order_acquire)) return RecvStatus::Closed;
+    const double left = bounded ? deadline - wall_now() : -1.0;
+    if (bounded && left <= 0.0 && !first) return RecvStatus::TimedOut;
+    pump(bounded ? std::max(left, 0.0) : -1.0);
+  }
 }
 
 RecvStatus TcpTransport::recv(Frame& out) {
-  return inbound_.pop(out) == support::ChannelStatus::Ok ? RecvStatus::Ok
-                                                         : RecvStatus::Closed;
+  return recv_until(out, /*bounded=*/false, 0.0);
 }
 
 RecvStatus TcpTransport::recv_for(Frame& out, double wall_seconds) {
-  // Channel timeouts are simulated-time; scale so the wait is wall time.
-  const auto d =
-      support::SimDuration(wall_seconds * support::Clock::scale());
-  switch (inbound_.pop_for(out, d)) {
-    case support::ChannelStatus::Ok:
-      return RecvStatus::Ok;
-    case support::ChannelStatus::Closed:
-      return RecvStatus::Closed;
-    case support::ChannelStatus::TimedOut:
-      return RecvStatus::TimedOut;
-  }
-  return RecvStatus::TimedOut;
+  return recv_until(out, /*bounded=*/true, wall_seconds);
 }
 
 void TcpTransport::close() {
   closed_.store(true, std::memory_order_release);
-  inbound_.close();
-  wake();
+  flush_out(1.0);  // a peer that is not draining forfeits the tail
+  ::shutdown(fd_, SHUT_RDWR);
 }
 
 bool TcpTransport::closed() const {
+  observe();
   return closed_.load(std::memory_order_acquire);
 }
 
 double TcpTransport::idle_seconds() const {
+  observe();
   return wall_now() - last_rx_wall_.load(std::memory_order_relaxed);
 }
 
 TransportStats TcpTransport::stats() const {
+  observe();
   TransportStats s;
   s.frames_sent = frames_sent_.load();
   s.frames_received = frames_received_.load();
@@ -515,51 +411,6 @@ TransportStats TcpTransport::stats() const {
   s.bytes_received = bytes_received_.load();
   s.heartbeats_seen = heartbeats_.load();
   return s;
-}
-
-// ---------------------------------------------------------------- listener
-
-TcpListener::TcpListener(std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) return;
-  int one = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd_, 64) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    return;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0)
-    port_ = ntohs(bound.sin_port);
-}
-
-TcpListener::~TcpListener() { close(); }
-
-std::unique_ptr<TcpTransport> TcpListener::accept_for(double wall_seconds,
-                                                      TcpOptions opts) {
-  if (fd_ < 0) return nullptr;
-  const int timeout_ms =
-      wall_seconds < 0.0 ? -1 : static_cast<int>(wall_seconds * 1000.0);
-  pollfd pfd{fd_, POLLIN, 0};
-  const int rc = ::poll(&pfd, 1, timeout_ms);
-  if (rc != 1) return nullptr;
-  const int cfd = ::accept(fd_, nullptr, nullptr);
-  if (cfd < 0) return nullptr;
-  return std::make_unique<TcpTransport>(cfd, opts);
-}
-
-void TcpListener::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
 }
 
 }  // namespace bsk::net

@@ -3,17 +3,21 @@
 //
 // A Transport is one end of an established connection. Two backends:
 //
-//   InprocTransport — a lock-free SPSC ring pair between two endpoints in
-//     the same process. No syscalls, no timers: existing tests and benches
-//     stay fast and deterministic while exercising the exact frame protocol
-//     the TCP backend speaks.
-//
-//   TcpTransport — a real loopback/LAN socket. A dedicated I/O thread runs
-//     a poll()-based event loop over the socket and a self-pipe (so send()
-//     wakes the loop immediately instead of waiting out a poll tick),
-//     drains a per-connection send queue, and re-frames the inbound byte
-//     stream into a bounded Channel<Frame>. connect() takes a timeout and a
+//   TcpTransport (below) — a real loopback/LAN socket with no thread of its
+//     own: send() gathers the queued frames into sendmsg on the caller's
+//     thread, recv() polls and decodes on the caller's thread, and the
+//     observers (closed(), idle_seconds(), stats()) drain whatever the
+//     socket already holds without blocking, so heartbeats and peer EOF
+//     show even when nobody is receiving. connect() takes a timeout and a
 //     bounded retry budget.
+//
+//   ShmTransport (net/shm.hpp) — wire frames over a shared-memory ring
+//     pair: the colocated fast path, and the in-process pair tests and
+//     benches use.
+//
+// The socket write path (SendQueue::flush_to) and read path (read_frames)
+// below are the only ones in bsk::net: EpollServer serves every accepted
+// connection with the same two routines.
 //
 // Timeouts on the transport API are *wall* seconds: liveness and I/O pacing
 // are properties of the real machine, not of the simulated clock. (Code
@@ -24,20 +28,18 @@
 // tracking without protocol noise.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "support/channel.hpp"
 #include "support/thread_annotations.hpp"
-#include "support/spsc_ring.hpp"
 #include "net/wire.hpp"
 
-struct iovec;  // <sys/uio.h>; SendQueue::gather fills these
+struct iovec;  // <sys/uio.h>
 
 namespace bsk::net {
 
@@ -45,19 +47,15 @@ enum class RecvStatus { Ok, Closed, TimedOut };
 
 // --------------------------------------------------------------- sendqueue
 
-/// Slab-chained send buffer shared by the scatter/gather senders (the TCP
-/// transport's I/O thread, the epoll server's per-connection state).
-/// Writers serialize frames *directly* into the back slab — zero
-/// intermediate Frame, zero per-frame heap traffic once the slab pool is
-/// warm — and the flusher gathers the front slabs into an iovec array for
-/// one sendmsg(), consuming exactly what the kernel accepted so short
-/// writes resume where they stopped.
+/// Slab-chained send buffer shared by the scatter/gather senders
+/// (TcpTransport, EpollServer's per-connection state). Writers serialize
+/// frames *directly* into the back slab — zero intermediate Frame, zero
+/// per-frame heap traffic once the slab pool is warm — and flush_to()
+/// gathers the front slabs into one sendmsg(), consuming exactly what the
+/// kernel accepted so short writes resume where they stopped.
 ///
 /// Not internally synchronized: the owner serializes access with its own
-/// send mutex (TcpTransport::out_mu_, EpollServer's per-conn mutex). The
-/// take_all/give_spares pair supports the swap pattern: the I/O thread
-/// moves every queued slab into a private queue under the lock, writes to
-/// the socket lock-free, then donates the drained slab storage back.
+/// send mutex (TcpTransport::out_mu_, EpollServer's per-conn mutex).
 class SendQueue {
  public:
   static constexpr std::size_t kSlabBytes = 64 * 1024;
@@ -65,7 +63,6 @@ class SendQueue {
   static constexpr std::size_t kMaxSpares = 4;
 
   bool empty() const { return bytes_ == 0; }
-  std::size_t bytes() const { return bytes_; }
 
   /// Serialize one frame into the back slab via build_frame_into. Returns
   /// the encoded size.
@@ -80,21 +77,13 @@ class SendQueue {
   /// Append an already-materialized frame's wire bytes.
   void append_frame(const Frame& f);
 
-  /// Move every queued slab from `from` onto the back of this queue.
-  void take_all(SendQueue& from);
-
-  /// Donate this queue's spare slab storage to `to` (recycle drained slabs
-  /// back to the writer side).
-  void give_spares(SendQueue& to);
-
-  /// Fill up to `max` iovecs with the unconsumed front spans. Returns the
-  /// count. The spans stay valid until the next mutating call.
-  std::size_t gather(iovec* iov, std::size_t max) const;
-
-  /// Drop `n` bytes from the front (what the kernel accepted).
-  void consume(std::size_t n);
-
-  void clear();
+  /// Write the queue into a nonblocking socket: sendmsg over up to kMaxIov
+  /// spans at a time until the queue is empty or the kernel takes less
+  /// than offered (a short write: the socket is full); EINTR retries on
+  /// the spot. Returns the bytes written, or -1 on a hard error. Uses
+  /// MSG_NOSIGNAL, so a vanished peer surfaces as -1 (EPIPE), never as a
+  /// process-killing SIGPIPE.
+  std::ptrdiff_t flush_to(int fd);
 
  private:
   struct Slab {
@@ -103,11 +92,29 @@ class SendQueue {
   };
 
   std::vector<std::uint8_t>& back_slab();
+  std::size_t gather(iovec* iov, std::size_t max) const;
+  void consume(std::size_t n);
 
   std::deque<Slab> slabs_;
   std::vector<std::vector<std::uint8_t>> spares_;
   std::size_t bytes_ = 0;
 };
+
+/// How a read_frames pass ended.
+enum class ReadEnd {
+  WouldBlock,  ///< drained everything the socket held
+  Stopped,     ///< on_frame asked to stop
+  Eof,         ///< the peer closed its end
+  Failed,      ///< hard socket error, or a corrupt stream (see dec.error())
+};
+
+/// Read a nonblocking socket until it would block, feeding each chunk to
+/// `dec` and handing every frame it completes — heartbeats included — to
+/// `on_frame`, which returns false to stop the pass. Adds the bytes read to
+/// `bytes`. A corrupt stream ends the pass as Failed with the cause in
+/// dec.error(), counted in the process-wide decode-error metrics.
+ReadEnd read_frames(int fd, FrameDecoder& dec, std::uint64_t& bytes,
+                    const std::function<bool(Frame&&)>& on_frame);
 
 struct TransportStats {
   std::uint64_t frames_sent = 0;
@@ -127,8 +134,8 @@ class Transport {
 
   /// Enqueue `n` frames as one batch (writev-style coalescing: the TCP
   /// backend encodes the whole batch into its send buffer under a single
-  /// lock and wakes its I/O thread once, so the frames leave in as few
-  /// segments as the kernel allows). Default: send() per frame. Returns
+  /// lock and flushes it with one gather write, so the frames leave in as
+  /// few segments as the kernel allows). Default: send() per frame. Returns
   /// false once the connection is closed; frames before the failure may
   /// still be delivered.
   virtual bool send_many(const Frame* fs, std::size_t n) {
@@ -175,51 +182,6 @@ class Transport {
   std::atomic<bool> secured_{false};
 };
 
-// ------------------------------------------------------------------ inproc
-
-/// In-process transport: each direction is a lock-free SPSC ring. Sends
-/// from multiple threads are serialized by a tiny spinlock on the producer
-/// side (the ring itself stays single-producer); receive is single-consumer
-/// by contract, matching how every conduit/ABC consumer is structured.
-class InprocTransport final : public Transport {
- public:
-  struct Pair {
-    std::shared_ptr<InprocTransport> a;
-    std::shared_ptr<InprocTransport> b;
-  };
-
-  /// Create a connected endpoint pair with the given per-direction queue
-  /// capacity (rounded up to a power of two).
-  static Pair make_pair(std::size_t capacity = 1024);
-
-  bool send(const Frame& f) override;
-  RecvStatus recv(Frame& out) override;
-  RecvStatus recv_for(Frame& out, double wall_seconds) override;
-  void close() override;
-  bool closed() const override;
-  double idle_seconds() const override { return 0.0; }
-  TransportStats stats() const override;
-
- private:
-  struct Queue {
-    explicit Queue(std::size_t cap) : ring(cap) {}
-    support::SpscRing<Frame> ring;
-    std::atomic_flag producer_lock = ATOMIC_FLAG_INIT;
-    std::atomic<bool> closed{false};
-  };
-
-  InprocTransport(std::shared_ptr<Queue> out, std::shared_ptr<Queue> in)
-      : out_(std::move(out)), in_(std::move(in)) {}
-
-  RecvStatus recv_until(Frame& out, bool bounded, double wall_seconds);
-
-  std::shared_ptr<Queue> out_;
-  std::shared_ptr<Queue> in_;
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> heartbeats_{0};
-};
-
 // --------------------------------------------------------------------- tcp
 
 struct TcpOptions {
@@ -227,12 +189,18 @@ struct TcpOptions {
   int connect_retries = 10;        ///< bounded retry budget
   double retry_backoff_s = 0.05;   ///< pause between attempts, wall seconds
   std::size_t max_frame = kDefaultMaxFrame;
-  std::size_t inbound_capacity = 4096;  ///< parsed-frame queue depth
 };
 
+/// TCP (or any stream socket) transport driven entirely on its callers'
+/// threads — see the file comment. Sends flush on the sender's thread and
+/// return once the kernel holds every byte, waiting for the socket to drain
+/// when it is full; that never deadlocks against bskd's EpollServer, which
+/// reads everything it is sent. One receiver at a time owns the socket's
+/// read side (the recv lock); observers skip the drain while it does.
 class TcpTransport final : public Transport {
  public:
-  /// Adopt an already-connected socket (the accept side).
+  /// Adopt an already-connected socket (an accepted connection, or one end
+  /// of a socketpair).
   explicit TcpTransport(int fd, TcpOptions opts = {});
 
   /// Connect to host:port with per-attempt timeout and bounded retry.
@@ -249,6 +217,8 @@ class TcpTransport final : public Transport {
                        const SerializeFn& emit) override;
   RecvStatus recv(Frame& out) override;
   RecvStatus recv_for(Frame& out, double wall_seconds) override;
+  /// Flush what is queued (for at most a second), then shut the socket
+  /// down; a receiver blocked on it wakes up and reports Closed.
   void close() override;
   bool closed() const override;
   double idle_seconds() const override;
@@ -261,53 +231,41 @@ class TcpTransport final : public Transport {
   }
 
  private:
-  void io_loop();
-  void wake();
-  void shutdown_fd();
+  /// Flush the send queue on this thread until it is empty, waiting up to
+  /// `wall_seconds` (< 0 = forever) for the socket to drain whenever it is
+  /// full. False if the connection died or the wait ran out.
+  bool flush_out(double wall_seconds);
+  /// Flush whatever the socket accepts now. False on a hard error.
+  bool flush_now() BSK_REQUIRES(out_mu_);
+  /// One pass over the socket: wait up to `wall_seconds` for it to become
+  /// ready (0 = do not block, < 0 = forever), flush any queued tail a
+  /// short write left, and decode what arrived into inbox_.
+  void pump(double wall_seconds) BSK_REQUIRES(rx_mu_);
+  /// pump(0) for the observers, at most once per kObservePeriod and never
+  /// while a receiver holds the recv lock (it is draining already).
+  void observe() const;
+  RecvStatus recv_until(Frame& out, bool bounded, double wall_seconds);
 
-  int fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  TcpOptions opts_;
+  static constexpr double kObservePeriod = 0.01;  ///< wall seconds
+
+  const int fd_;  ///< shut down by close(), closed by the destructor
 
   support::Mutex out_mu_{"TcpTransport.send"};
   SendQueue outq_ BSK_GUARDED_BY(out_mu_);
 
-  FrameDecoder decoder_;
-  support::Channel<Frame> inbound_;
+  support::Mutex rx_mu_{"TcpTransport.recv"};
+  FrameDecoder decoder_ BSK_GUARDED_BY(rx_mu_);
+  std::deque<Frame> inbox_ BSK_GUARDED_BY(rx_mu_);  ///< decoded, unread
 
-  std::atomic<bool> closed_{false};
+  std::atomic<bool> closed_{false};  ///< closed locally, or the stream died
   std::atomic<DecodeError> decode_error_{DecodeError::None};
   std::atomic<double> last_rx_wall_{0.0};
+  mutable std::atomic<double> next_observe_wall_{0.0};
   std::atomic<std::uint64_t> frames_sent_{0};
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
   std::atomic<std::uint64_t> heartbeats_{0};
-
-  std::jthread io_;
-};
-
-/// Listening socket. Port 0 binds an ephemeral port, readable via port().
-class TcpListener {
- public:
-  explicit TcpListener(std::uint16_t port = 0);
-  ~TcpListener();
-
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-
-  bool valid() const { return fd_ >= 0; }
-  std::uint16_t port() const { return port_; }
-
-  /// Accept one connection, waiting at most `wall_seconds` (<0 = forever).
-  std::unique_ptr<TcpTransport> accept_for(double wall_seconds,
-                                           TcpOptions opts = {});
-
-  void close();
-
- private:
-  int fd_ = -1;
-  std::uint16_t port_ = 0;
 };
 
 /// Monotonic wall seconds (steady clock) — the transport liveness timebase.

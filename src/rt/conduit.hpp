@@ -3,8 +3,8 @@
 //
 // Couples a blocking Channel<Task> with a Link (communication cost + SSL
 // state). Pushing a data task first charges the link's simulated transfer
-// time, then enqueues. The farm's load balancer uses steal_back() to pull
-// queued tasks out of a backlogged worker's conduit.
+// time, then enqueues. The farm's load balancer uses steal_data_back() to
+// pull queued tasks out of a backlogged worker's conduit.
 //
 // The interface is virtual so transport-backed conduits (bsk::net's
 // RemoteConduit) can substitute a real wire for the in-memory queue while
@@ -92,6 +92,13 @@ class Conduit {
   /// cannot be recalled.
   virtual std::deque<Task> steal_back(std::size_t n) {
     return ch_.steal_back(n);
+  }
+
+  /// Pull up to n data tasks from the back of the queue, stopping at the
+  /// first control task: a poison pill must reach the worker it was
+  /// addressed to, or that worker never exits.
+  virtual std::deque<Task> steal_data_back(std::size_t n) {
+    return ch_.steal_back_while(n, [](const Task& t) { return t.is_data(); });
   }
 
   virtual Link& link() { return link_; }

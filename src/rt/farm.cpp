@@ -283,7 +283,11 @@ std::size_t Farm::rebalance() {
     const std::size_t lo = depth(shortest);
     if (hi <= lo + 1) break;
     const std::size_t k = (hi - lo) / 2;
-    auto stolen = longest->in->steal_back(k);
+    // Data only: a poison pill queued by end of stream or remove_worker()
+    // (which can land between the snapshot above and this steal) stays
+    // with its worker; moved, it would retire another worker twice and
+    // leave this one waiting forever.
+    auto stolen = longest->in->steal_data_back(k);
     if (stolen.empty()) break;  // the spread lives in staged batches
     for (auto& t : stolen) {
       // Never block on a give-back: every queue (including the source,

@@ -242,10 +242,18 @@ class Channel {
   /// enqueued first). Used by the farm load-balancer to redistribute queued
   /// tasks away from a backlogged worker.
   std::deque<T> steal_back(std::size_t n) {
+    return steal_back_while(n, [](const T&) { return true; });
+  }
+
+  /// As steal_back(), but stops at the first item (counting from the back)
+  /// that `movable` rejects: that item and everything ahead of it stay
+  /// queued, in order.
+  template <class Pred>
+  std::deque<T> steal_back_while(std::size_t n, Pred movable) {
     std::deque<T> out;
     {
       MutexLock lk(mu_);
-      while (n-- > 0 && !q_.empty()) {
+      while (n-- > 0 && !q_.empty() && movable(q_.back())) {
         out.push_front(std::move(q_.back()));
         q_.pop_back();
       }

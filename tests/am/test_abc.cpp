@@ -137,7 +137,10 @@ TEST(FarmAbc, SecureLinksActuator) {
 }
 
 TEST(FarmAbc, SenseInvalidDuringReconfig) {
-  ScopedClockScale fast(100.0);
+  // Scale 10: the 1 s blackout lasts 100 ms of wall time and the probe lands
+  // 30 ms in, so a slow start of the adder thread cannot push the blackout
+  // past the probe.
+  ScopedClockScale fast(10.0);
   rt::FarmConfig cfg;
   cfg.initial_workers = 1;
   cfg.reconfig_delay_s = 1.0;

@@ -18,6 +18,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,9 +43,9 @@
 namespace bsk::net {
 namespace {
 
-// Count live threads of a process via /proc/<pid>/task.
-std::size_t thread_count(int pid) {
-  const std::string dir = "/proc/" + std::to_string(pid) + "/task";
+// Entries of /proc/<pid>/<sub>: live threads ("task") or open fds ("fd").
+std::size_t proc_entries(int pid, const char* sub) {
+  const std::string dir = "/proc/" + std::to_string(pid) + "/" + sub;
   DIR* d = ::opendir(dir.c_str());
   if (!d) return 0;
   std::size_t n = 0;
@@ -51,6 +53,22 @@ std::size_t thread_count(int pid) {
     if (e->d_name[0] != '.') ++n;
   ::closedir(d);
   return n;
+}
+
+// Virtual address space of a process (VmSize, KiB) — stacks of exited but
+// never-joined threads stay mapped and show up here, not in the task list.
+std::size_t vm_size_kib(int pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  std::string key;
+  while (in >> key) {
+    if (key == "VmSize:") {
+      std::size_t kib = 0;
+      in >> kib;
+      return kib;
+    }
+    in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
 }
 
 // Minimal echo service: ack every Hello, echo every frame back.
@@ -346,7 +364,7 @@ TEST(BskdSoak, SixtyFourSessionsBoundedThreads) {
       spawn_bskd(BSK_BSKD_PATH, 10.0, {"--workers", "8"});
   ASSERT_TRUE(daemon.valid());
 
-  const std::size_t threads_idle = thread_count(daemon.pid);
+  const std::size_t threads_idle = proc_entries(daemon.pid, "task");
   ASSERT_GT(threads_idle, 0u);
 
   const int kConns = 64;
@@ -382,7 +400,7 @@ TEST(BskdSoak, SixtyFourSessionsBoundedThreads) {
 
   // Bounded threads: idle baseline + worker cap (8) + shm servers (none
   // here: TCP-only clients) + slack. Nothing close to 64 * thread-per-conn.
-  const std::size_t threads_loaded = thread_count(daemon.pid);
+  const std::size_t threads_loaded = proc_entries(daemon.pid, "task");
   EXPECT_LE(threads_loaded, threads_idle + 8 + 4)
       << "daemon grew a thread per connection";
 
@@ -445,6 +463,110 @@ TEST(BskdSoak, ShmOptOutStaysOnTcp) {
   EXPECT_EQ(r->id, 99u);
 
   node.reset();
+  stop_bskd(daemon, SIGTERM);
+}
+
+// Session churn: 1,000 sequential shm sessions, each one task and a clean
+// Shutdown. Every ended session must hand back its drain thread, its fds
+// and its thread's stack — the last is the check an exited-but-unjoined
+// thread still fails, since it leaves the task list but stays mapped.
+TEST(BskdSoak, ShmSessionChurnReturnsToBaseline) {
+#if BSK_TSAN
+  const int kSessions = 100;
+#else
+  const int kSessions = 1000;
+#endif
+  // One executor, so the executor pool cannot grow under the churn and
+  // the daemon's thread count is exact.
+  BskdProcess daemon = spawn_bskd(BSK_BSKD_PATH, 10.0, {"--workers", "1"});
+  ASSERT_TRUE(daemon.valid());
+
+  WorkerPoolOptions opts;
+  opts.node_kind = "echo";
+  WorkerPool pool({{"127.0.0.1", daemon.port}}, opts);
+  const auto session = [&pool](int i) {
+    auto node = pool.make_node();
+    ASSERT_NE(node, nullptr);
+    node->process(rt::Task::data(static_cast<std::uint64_t>(i), 0.0));
+    const auto r = node->flush();
+    ASSERT_TRUE(r.has_value()) << "session " << i;
+    EXPECT_EQ(r->id, static_cast<std::uint64_t>(i));
+    node->on_stop();  // Shutdown over the ring, then close
+  };
+  const auto settle = [&daemon](std::size_t threads, std::size_t fds) {
+    const double deadline = wall_now() + 10.0;
+    while (wall_now() < deadline &&
+           (proc_entries(daemon.pid, "task") > threads ||
+            proc_entries(daemon.pid, "fd") > fds))
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+
+  // Warm-up pays the one-time costs: the executor thread, and the heap
+  // arenas malloc keeps for as many threads as ever allocated at once
+  // (64 MiB of address space each). Concurrent warm-up sessions overlap
+  // more daemon threads than the sequential churn below ever does, so the
+  // baseline already holds every arena the churn can use.
+  const int kWarmupThreads = 6, kWarmupEach = 4;
+  {
+    std::vector<std::jthread> warm;
+    for (int t = 0; t < kWarmupThreads; ++t)
+      warm.emplace_back([&session] {
+        for (int i = 0; i < kWarmupEach; ++i) session(i);
+      });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::size_t threads0 = proc_entries(daemon.pid, "task");
+  const std::size_t fds0 = proc_entries(daemon.pid, "fd");
+  const std::size_t vm0 = vm_size_kib(daemon.pid);
+  ASSERT_GT(threads0, 0u);
+  ASSERT_GT(vm0, 0u);
+
+  for (int i = 0; i < kSessions; ++i) {
+    session(i);
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  EXPECT_EQ(pool.shm_attached(), static_cast<std::size_t>(
+                                     kWarmupThreads * kWarmupEach + kSessions));
+
+  settle(threads0, fds0);
+  EXPECT_LE(proc_entries(daemon.pid, "task"), threads0);
+  EXPECT_LE(proc_entries(daemon.pid, "fd"), fds0);
+  EXPECT_LE(vm_size_kib(daemon.pid), vm0 + 64 * 1024)
+      << "session churn grew the daemon's address space";
+  stop_bskd(daemon, SIGTERM);
+}
+
+// Liveness without a reader: a worker idling with no tasks receives no
+// frames, so only the daemon's heartbeats — drained by the failure
+// detector's own polls — keep it alive past its liveness timeout. On TCP
+// they arrive on the worker's connection; on shm, on the anchor under the
+// ring.
+TEST(BskdSoak, IdleWorkerIsNotDeclaredFailed) {
+  BskdProcess daemon = spawn_bskd(BSK_BSKD_PATH, 10.0);
+  ASSERT_TRUE(daemon.valid());
+  for (const bool shm : {false, true}) {
+    WorkerPoolOptions opts;
+    opts.node_kind = "echo";
+    opts.allow_shm = shm;
+    opts.heartbeat_wall_s = 0.05;
+    opts.node.liveness_timeout_wall_s = 0.5;
+    WorkerPool pool({{"127.0.0.1", daemon.port}}, opts);
+    auto node = pool.make_node();
+    ASSERT_NE(node, nullptr);
+    ASSERT_EQ(pool.remote_nodes_created(), 1u);
+    ASSERT_EQ(pool.shm_attached(), shm ? 1u : 0u);
+
+    const double t0 = wall_now();
+    while (wall_now() - t0 < 3 * opts.node.liveness_timeout_wall_s) {
+      EXPECT_FALSE(node->failed()) << (shm ? "shm" : "tcp");
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    EXPECT_FALSE(node->failed()) << (shm ? "shm" : "tcp");
+    node->process(rt::Task::data(5, 0.0));
+    const auto r = node->flush();
+    ASSERT_TRUE(r.has_value()) << (shm ? "shm" : "tcp");
+    EXPECT_EQ(r->id, 5u);
+  }
   stop_bskd(daemon, SIGTERM);
 }
 

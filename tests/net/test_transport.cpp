@@ -1,14 +1,15 @@
 // Transport conformance: one behavioural contract, two backends.
 //
-// Every test in TransportConformance runs against both InprocTransport and
-// TcpTransport (loopback) through the same fixture — the wire protocol must
-// not care which one carries it. Backend-specific behaviour (connect retry
-// budgets, heartbeat-refreshed idleness, EOF detection) is tested
-// separately below.
+// Every test in TransportConformance runs against both ShmTransport (an
+// in-process ring pair) and TcpTransport (loopback) through the same
+// fixture — the wire protocol must not care which one carries it.
+// Backend-specific behaviour (connect retry budgets, heartbeat-refreshed
+// idleness, EOF detection, short-write resume) is tested separately below.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <pthread.h>
 #include <signal.h>
@@ -21,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/shm.hpp"
 #include "net/transport.hpp"
 
 namespace bsk::net {
@@ -33,6 +35,43 @@ Frame msg(FrameType type, std::initializer_list<std::uint8_t> bytes) {
   return f;
 }
 
+struct TcpPair {
+  std::shared_ptr<TcpTransport> client;  ///< TcpTransport::connect side
+  std::shared_ptr<TcpTransport> server;  ///< adopted accepted socket
+};
+
+// A connected loopback pair: bind an ephemeral listening socket, connect a
+// client through TcpTransport::connect, and adopt the accepted end.
+TcpPair tcp_loopback_pair() {
+  TcpPair p;
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (lfd < 0) return p;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  if (::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+      ::listen(lfd, 1) == 0 &&
+      ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+    p.client = TcpTransport::connect("127.0.0.1", ntohs(addr.sin_port));
+    const int cfd = p.client ? ::accept(lfd, nullptr, nullptr) : -1;
+    if (cfd >= 0) p.server = std::make_shared<TcpTransport>(cfd);
+  }
+  ::close(lfd);
+  return p;
+}
+
+// Live threads of this process.
+std::size_t own_thread_count() {
+  DIR* d = ::opendir("/proc/self/task");
+  if (!d) return 0;
+  std::size_t n = 0;
+  while (const dirent* e = ::readdir(d))
+    if (e->d_name[0] != '.') ++n;
+  ::closedir(d);
+  return n;
+}
+
 class TransportConformance : public ::testing::TestWithParam<std::string> {
  protected:
   struct Pair {
@@ -41,22 +80,17 @@ class TransportConformance : public ::testing::TestWithParam<std::string> {
   };
 
   Pair make() {
-    if (GetParam() == "inproc") {
-      auto p = InprocTransport::make_pair();
+    if (GetParam() == "shm") {
+      auto p = ShmTransport::make_pair();
+      EXPECT_NE(p.a, nullptr);
+      EXPECT_NE(p.b, nullptr);
       return {p.a, p.b};
     }
-    auto listener = std::make_shared<TcpListener>(0);
-    EXPECT_TRUE(listener->valid());
-    listeners_.push_back(listener);
-    std::shared_ptr<Transport> client =
-        TcpTransport::connect("127.0.0.1", listener->port());
-    std::shared_ptr<Transport> server = listener->accept_for(5.0);
-    EXPECT_NE(client, nullptr);
-    EXPECT_NE(server, nullptr);
-    return {client, server};
+    auto p = tcp_loopback_pair();
+    EXPECT_NE(p.client, nullptr);
+    EXPECT_NE(p.server, nullptr);
+    return {p.client, p.server};
   }
-
-  std::vector<std::shared_ptr<TcpListener>> listeners_;
 };
 
 TEST_P(TransportConformance, SendRecvPreservesOrderAndBytes) {
@@ -177,7 +211,7 @@ TEST_P(TransportConformance, SecuredFlagFlips) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
-                         ::testing::Values(std::string("inproc"),
+                         ::testing::Values(std::string("shm"),
                                            std::string("tcp")),
                          [](const auto& info) { return info.param; });
 
@@ -195,33 +229,15 @@ TEST(TcpTransport, ConnectRetryBudgetIsBoundedAndFails) {
   EXPECT_LT(wall_now() - t0, 5.0);
 }
 
-TEST(TcpTransport, ListenerBindsEphemeralPort) {
-  TcpListener l1(0), l2(0);
-  ASSERT_TRUE(l1.valid());
-  ASSERT_TRUE(l2.valid());
-  EXPECT_NE(l1.port(), 0);
-  EXPECT_NE(l1.port(), l2.port());
-}
-
-TEST(TcpTransport, AcceptForTimesOutWithoutClient) {
-  TcpListener l(0);
-  ASSERT_TRUE(l.valid());
-  const double t0 = wall_now();
-  EXPECT_EQ(l.accept_for(0.05), nullptr);
-  EXPECT_LT(wall_now() - t0, 2.0);
-}
-
 TEST(TcpTransport, HeartbeatsRefreshIdleSeconds) {
-  TcpListener l(0);
-  auto client = TcpTransport::connect("127.0.0.1", l.port());
-  auto server = l.accept_for(5.0);
+  auto [client, server] = tcp_loopback_pair();
   ASSERT_NE(client, nullptr);
   ASSERT_NE(server, nullptr);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const double idle_before = server->idle_seconds();
   ASSERT_TRUE(client->send(Frame{FrameType::Heartbeat, {}}));
-  // Wait for the io thread to register the beat.
+  // Nobody calls recv: the observers themselves must register the beat.
   const double deadline = wall_now() + 2.0;
   while (server->stats().heartbeats_seen == 0 && wall_now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -232,13 +248,11 @@ TEST(TcpTransport, HeartbeatsRefreshIdleSeconds) {
 }
 
 TEST(TcpTransport, WritingIntoPeerClosedSocketDoesNotRaiseSigpipe) {
-  // Regression: the io thread writes with MSG_NOSIGNAL, so a peer that
-  // vanished between our poll and our write produces EPIPE (a dead
-  // connection), not a process-killing SIGPIPE. Without the flag this test
-  // aborts the whole binary.
-  TcpListener l(0);
-  auto client = TcpTransport::connect("127.0.0.1", l.port());
-  auto server = l.accept_for(5.0);
+  // Regression: the write path uses MSG_NOSIGNAL, so a peer that vanished
+  // between two writes produces EPIPE (a dead connection), not a
+  // process-killing SIGPIPE. Without the flag this test aborts the whole
+  // binary.
+  auto [client, server] = tcp_loopback_pair();
   ASSERT_NE(client, nullptr);
   ASSERT_NE(server, nullptr);
   server->close();  // peer goes away; client does not know yet
@@ -257,21 +271,90 @@ TEST(TcpTransport, WritingIntoPeerClosedSocketDoesNotRaiseSigpipe) {
   client->close();
 }
 
+// Peer EOF must surface through the observers alone: the farm's failure
+// detector polls closed() on workers nobody is receiving from.
+TEST(TcpTransport, PeerEofShowsInClosedWithoutRecv) {
+  auto [client, server] = tcp_loopback_pair();
+  ASSERT_NE(client, nullptr);
+  ASSERT_NE(server, nullptr);
+  EXPECT_FALSE(client->closed());
+  const double t0 = wall_now();
+  server.reset();  // the peer process "dies"
+  while (!client->closed() && wall_now() - t0 < 5.0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(client->closed());
+  EXPECT_LT(wall_now() - t0, 1.0);
+}
+
+// A frame far larger than the socket buffer leaves in many short writes.
+// Once send() returns, the sender only waits for replies (recv_for) or
+// polls liveness (idle_seconds) — the whole frame must still reach the
+// reader.
+TEST(TcpTransport, ShortWriteTailReachesReaderWhileSenderOnlyWaits) {
+  for (const bool via_recv : {true, false}) {
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    const int tiny = 4096;
+    ASSERT_EQ(::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &tiny, sizeof tiny),
+              0);
+    auto writer = std::make_shared<TcpTransport>(sv[0]);
+    auto reader = std::make_shared<TcpTransport>(sv[1]);
+
+    Frame big;
+    big.type = FrameType::TaskMsg;
+    big.payload.resize(256 * 1024);
+    for (std::size_t i = 0; i < big.payload.size(); ++i)
+      big.payload[i] = static_cast<std::uint8_t>(i * 31 + 7);
+
+    std::atomic<bool> received{false};
+    std::thread sender([&] {
+      EXPECT_TRUE(writer->send(big));
+      Frame none;
+      while (!received.load()) {
+        if (via_recv) {
+          EXPECT_NE(writer->recv_for(none, 0.01), RecvStatus::Ok);
+        } else {
+          EXPECT_LT(writer->idle_seconds(), 60.0);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    Frame got;
+    EXPECT_EQ(reader->recv_for(got, 20.0), RecvStatus::Ok)
+        << (via_recv ? "recv_for" : "idle_seconds");
+    received.store(true);
+    sender.join();
+    EXPECT_EQ(got.payload, big.payload);
+    writer->close();
+    reader->close();
+  }
+}
+
+// Transports run on their callers' threads: opening one starts no thread,
+// so a process pays no thread per client connection.
+TEST(TcpTransport, OpeningTransportsStartsNoThreads) {
+  const std::size_t before = own_thread_count();
+  ASSERT_GT(before, 0u);
+  std::vector<std::shared_ptr<TcpTransport>> open;
+  for (int i = 0; i < 4; ++i) {
+    auto [client, server] = tcp_loopback_pair();
+    ASSERT_NE(client, nullptr);
+    ASSERT_NE(server, nullptr);
+    open.push_back(client);
+    open.push_back(server);
+  }
+  ASSERT_EQ(open.size(), 8u);
+  EXPECT_EQ(own_thread_count(), before);
+}
+
 TEST(TcpTransport, CorruptedBytesOnTheWireDieAsBadCrc) {
   // A peer (or a fault) that garbles bytes mid-stream must not crash the
   // decoder or deliver a wrong frame: the CRC check kills the connection
   // with a typed decode error.
-  TcpListener l(0);
-  const int raw = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(raw, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(l.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(raw, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  auto server = l.accept_for(5.0);
-  ASSERT_NE(server, nullptr);
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const int raw = sv[0];
+  auto server = std::make_shared<TcpTransport>(sv[1]);
 
   Frame f;
   f.type = FrameType::TaskMsg;
@@ -289,9 +372,7 @@ TEST(TcpTransport, CorruptedBytesOnTheWireDieAsBadCrc) {
 }
 
 TEST(TcpTransport, PeerDestructionReadsAsClosed) {
-  TcpListener l(0);
-  auto client = TcpTransport::connect("127.0.0.1", l.port());
-  auto server = l.accept_for(5.0);
+  auto [client, server] = tcp_loopback_pair();
   ASSERT_NE(client, nullptr);
   ASSERT_NE(server, nullptr);
   client.reset();  // socket torn down — the remote process "dies"

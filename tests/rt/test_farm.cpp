@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <type_traits>
 
 #include "rt/farm.hpp"
 #include "support/clock.hpp"
@@ -207,11 +209,18 @@ TEST(Farm, DestructorWithoutWaitIsSafe) {
 
 // Parameterized sweep: every policy×ordering combination processes the
 // whole stream.
+// gtest names a parameter without a PrintTo by its raw bytes; the padding
+// is spelled out and zeroed so the test names stay the same run to run.
 struct FarmCase {
+  FarmCase(SchedPolicy p, bool o, std::size_t w)
+      : policy(p), ordered(o), workers(w) {}
   SchedPolicy policy;
   bool ordered;
+  std::uint8_t pad[3] = {};
   std::size_t workers;
 };
+static_assert(std::has_unique_object_representations_v<FarmCase>,
+              "FarmCase must have no implicit padding");
 
 class FarmSweep : public ::testing::TestWithParam<FarmCase> {};
 

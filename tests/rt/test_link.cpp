@@ -114,5 +114,25 @@ TEST_F(LinkFixture, ConduitChargesAndQueues) {
   EXPECT_EQ(t.id, 1u);
 }
 
+// The farm's load balancer steals with steal_data_back(): a poison pill
+// queued for one worker must never be handed to another.
+TEST(Conduit, StealDataBackLeavesPoisonWithItsWorker) {
+  Conduit c(8);
+  for (int i = 0; i < 3; ++i) c.push(Task::data(i, 0.0));
+  c.push(Task::poison());
+  EXPECT_TRUE(c.steal_data_back(4).empty());
+  c.push(Task::data(9, 0.0));  // raced in behind the poison
+  const auto stolen = c.steal_data_back(4);
+  ASSERT_EQ(stolen.size(), 1u);
+  EXPECT_EQ(stolen[0].id, 9u);
+  Task t;
+  for (std::uint64_t id = 0; id < 3; ++id) {
+    ASSERT_EQ(c.pop(t), support::ChannelStatus::Ok);
+    EXPECT_EQ(t.id, id);
+  }
+  ASSERT_EQ(c.pop(t), support::ChannelStatus::Ok);
+  EXPECT_EQ(t.kind, TaskKind::Poison);
+}
+
 }  // namespace
 }  // namespace bsk::rt

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "rules/rule.hpp"
@@ -25,21 +26,29 @@ TEST(Operand, ResolveLiteralAndConstant) {
   EXPECT_FALSE(resolve(Operand{std::string("missing")}, c).has_value());
 }
 
+// gtest names a parameter without a PrintTo by its raw bytes, padding
+// included. The padding is spelled out and zeroed so the test names (and
+// the ctest names discovered from them) do not change from run to run.
 struct CmpCase {
+  CmpCase(CmpOp o, double l, double r, bool e)
+      : op(o), lhs(l), rhs(r), expect(e) {}
   CmpOp op;
+  std::uint32_t pad_after_op = 0;
   double lhs, rhs;
   bool expect;
+  std::uint8_t pad_tail[7] = {};
 };
+static_assert(sizeof(CmpCase) == 32, "CmpCase must have no implicit padding");
 
 class PatternCmp : public ::testing::TestWithParam<CmpCase> {};
 
 TEST_P(PatternCmp, ComparisonSemantics) {
-  const auto [op, lhs, rhs, expect] = GetParam();
+  const CmpCase& pc = GetParam();
   WorkingMemory wm;
-  wm.set("B", lhs);
+  wm.set("B", pc.lhs);
   ConstantTable c;
-  Pattern p{"B", false, {{op, Operand{rhs}}}};
-  EXPECT_EQ(p.matches(wm, c), expect);
+  Pattern p{"B", false, {{pc.op, Operand{pc.rhs}}}};
+  EXPECT_EQ(p.matches(wm, c), pc.expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -137,6 +137,23 @@ TEST(Channel, StealBackMoreThanSizeTakesAll) {
   EXPECT_TRUE(ch.empty());
 }
 
+TEST(Channel, StealBackWhileStopsAtFirstRejected) {
+  Channel<int> ch(8);
+  for (int v : {1, 2, -1, 3, 4}) ch.push(v);
+  const auto stolen = ch.steal_back_while(10, [](int v) { return v > 0; });
+  ASSERT_EQ(stolen.size(), 2u);
+  EXPECT_EQ(stolen[0], 3);
+  EXPECT_EQ(stolen[1], 4);
+  ASSERT_EQ(ch.size(), 3u);
+  // The rejected item is now the back and is not taken on a second call.
+  EXPECT_TRUE(ch.steal_back_while(10, [](int v) { return v > 0; }).empty());
+  int v = 0;
+  for (int want : {1, 2, -1}) {
+    ch.pop(v);
+    EXPECT_EQ(v, want);
+  }
+}
+
 TEST(Channel, MpmcAllItemsDeliveredExactlyOnce) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 3;
