@@ -96,7 +96,8 @@ BENCHMARK(BM_DataplaneBatch)
     ->Args({64, 1})
     ->Args({64, 0})
     ->Args({8, 1})
-    ->Args({8, 0});
+    ->Args({8, 0})
+    ->UseRealTime();
 
 void BM_CounterInc(benchmark::State& state) {
   const bool was_enabled = obs::enabled();

@@ -33,9 +33,9 @@ BENCHMARK(BM_ChannelPushPop);
 // Producer/consumer stream through a bounded channel. Arg is the batch
 // size: 1 uses the per-item push/pop path (one lock + one CV notify per
 // task — the pre-batching dataplane), larger values move whole batches via
-// push_n/pop_n under a single lock acquisition. The items/s ratio between
-// Arg(1) and the batched runs is the dataplane speedup BENCH_dataplane.json
-// tracks.
+// push_n/pop_n under a single lock acquisition. The wall-clock per-item
+// ratio between Arg(1) and the batched runs is the dataplane speedup
+// BENCH_dataplane.json tracks.
 void BM_ChannelBatchTransfer(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   support::Channel<int> ch(1024);
@@ -70,7 +70,12 @@ void BM_ChannelBatchTransfer(benchmark::State& state) {
   ch.close();
   state.SetItemsProcessed(items);
 }
-BENCHMARK(BM_ChannelBatchTransfer)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
+BENCHMARK(BM_ChannelBatchTransfer)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(256)
+    ->UseRealTime();
 
 void BM_RateEstimatorRecord(benchmark::State& state) {
   support::RateEstimator r(support::SimDuration(10.0));
@@ -161,7 +166,7 @@ void BM_FarmSteadyStateThroughput(benchmark::State& state) {
   f.input()->close();
   f.wait();
 }
-BENCHMARK(BM_FarmSteadyStateThroughput)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_FarmSteadyStateThroughput)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_Rebalance(benchmark::State& state) {
   support::ScopedClockScale fast(1e6);
@@ -186,7 +191,7 @@ void BM_Rebalance(benchmark::State& state) {
   });
   f.wait();
 }
-BENCHMARK(BM_Rebalance)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Rebalance)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 }  // namespace
 

@@ -150,22 +150,21 @@ if missing:
           file=sys.stderr)
     sys.exit(1)
 
-def ips(name):
-    return benches[name].get("items_per_second", 0.0)
-
 def us(name):
     return benches[name]["ns_per_op"] / 1e3
 
-# Credit-window gains come from wall-clock ns_per_op: the echo peer runs on
-# its own thread, whose work the driver thread's CPU time never sees.
-def wall_speedup(base, fast):
-    return round(benches[base]["ns_per_op"] /
+# Every ratio comes from wall-clock ns_per_op: the consumer or echo peer
+# runs on its own thread, whose work the timing thread's CPU time never
+# sees. items_per_op scales an iteration to one item (a batched transfer
+# moves a whole batch per iteration).
+def wall_speedup(base, fast, items_per_op=1):
+    return round(benches[base]["ns_per_op"] * items_per_op /
                  max(benches[fast]["ns_per_op"], 1e-9), 2)
 
 summary = {
     "batched_transfer_speedup_vs_per_item":
-        round(ips("BM_ChannelBatchTransfer/64") /
-              max(ips("BM_ChannelBatchTransfer/1"), 1e-9), 2),
+        wall_speedup("BM_ChannelBatchTransfer/1",
+                     "BM_ChannelBatchTransfer/64", items_per_op=64),
     "shm_credit4_speedup_vs_window1":
         wall_speedup("BM_ShmCreditThroughput/1", "BM_ShmCreditThroughput/4"),
     "tcp_credit4_speedup_vs_window1":

@@ -20,8 +20,11 @@
 //     the wire before insisting on a result, so the round-trip latency is
 //     amortized across the window instead of paid per task; the result it
 //     returns then belongs to the *oldest* in-flight task (Task::order
-//     travels with it, so ordered collection is unaffected), and flush()
-//     drains the tail after end of stream. The node owns the crash-recovery
+//     travels with it, so ordered collection is unaffected). The window
+//     caps tasks in flight; it does not hold results back: the farm calls
+//     flush() whenever the worker's input is idle (and at end of stream),
+//     which delivers the oldest result as soon as the peer answers it.
+//     The node owns the crash-recovery
 //     copies of everything in flight (owns_recovery()): a peer crash is
 //     recovered by draining the unacknowledged deque — exactly once,
 //     because drains are destructive and the result path discards results
@@ -163,10 +166,13 @@ struct RemoteNodeOptions {
   /// Peer silence (no frames, heartbeats included) past this marks the
   /// worker failed. <= 0 disables the heartbeat detector (EOF still fires).
   double liveness_timeout_wall_s = 2.0;
-  /// Tasks kept in flight on the wire (credit-based pipelining). 1
-  /// degenerates to the strict round-trip-per-task protocol; larger windows
-  /// overlap transfer with remote computation. Purely client-side: the peer
-  /// executes its FIFO serially and results acknowledge in send order.
+  /// Cap on tasks in flight on the wire (credit-based pipelining): process()
+  /// waits for the oldest result only once this many are outstanding. It is
+  /// not a hold — with the worker's input idle the farm drains results
+  /// through flush() as they arrive. 1 degenerates to the strict
+  /// round-trip-per-task protocol; larger windows overlap transfer with
+  /// remote computation under load. Purely client-side: the peer executes
+  /// its FIFO serially and results acknowledge in send order.
   std::size_t credit_window = 4;
 
   // ------------------------------------------------- reconnect & resume

@@ -547,6 +547,40 @@ void Farm::worker_loop(Worker* w) {
     results.clear();
   };
 
+  // Deliver a recovery-owning node's pipelined results (Node::flush), each
+  // pushed to the collector as it arrives, so a result never waits for
+  // later tasks to push it out of the credit window. Mid-stream
+  // (until_input) the drain stops as soon as input is queued — under load
+  // the window keeps pipelining — and at end of stream it runs dry.
+  // Returns true when the backing executor died: everything it never
+  // acknowledged, plus the staged batch, is then in to_recover.
+  auto drain_pipelined = [&](bool until_input) {
+    for (;;) {
+      if (until_input && w->in->size() > 0) return false;
+      std::optional<Task> r = w->node->flush();
+      if (!r) break;
+      stage_result(std::move(*r));
+      flush_results();
+    }
+    // A flushed result's task was acknowledged off the node's recovery
+    // deque before any drain could have seen it, so it was emitted above
+    // even if we have since been marked failed. What is still
+    // unacknowledged is drained here — destructively, so this composes
+    // with a racing monitor's own drain.
+    support::MutexLock lk(w->inflight_mu);
+    const bool dead = w->failed.load() || w->node->failed();
+    if (!dead && until_input) return false;
+    for (Task& t : w->node->drain_unacked()) to_recover.push_back(std::move(t));
+    if (!dead) return false;
+    w->failed.store(true);
+    while (!w->pending.empty()) {
+      to_recover.push_back(std::move(w->pending.front()));
+      w->pending.pop_front();
+    }
+    w->staged.store(0, std::memory_order_relaxed);
+    return true;
+  };
+
   bool poisoned = false;
   bool crashed = false;
   while (!poisoned && !crashed) {
@@ -648,20 +682,14 @@ void Farm::worker_loop(Worker* w) {
     }
 
     flush_results();
+    // Input idle: deliver what the wire already answered instead of
+    // holding it until later tasks arrive. A peer that died while we wait
+    // here is noticed now, not at the next task or at end of stream.
+    if (node_recovers && !poisoned && !crashed) crashed = drain_pipelined(true);
   }
 
-  // Drain pipelined results still in flight at end of stream; if the peer
-  // died mid-drain, recover what it never acknowledged.
-  if (node_recovers && !crashed) {
-    while (auto r = w->node->flush()) stage_result(std::move(*r));
-    std::vector<Task> left;
-    {
-      support::MutexLock lk(w->inflight_mu);
-      left = w->node->drain_unacked();
-    }
-    for (Task& t : left)
-      if (t.is_data()) to_recover.push_back(std::move(t));
-  }
+  // End of stream: the same drain, run dry.
+  if (node_recovers && !crashed) crashed = drain_pipelined(false);
 
   // Tasks handed to this worker that it will never run: batch entries
   // staged behind a poison, and whatever raced into the queue after it.

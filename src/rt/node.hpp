@@ -57,11 +57,15 @@ class Node {
   // ----------------------------------------------------------- pipelining
   //
   // A node may pipeline several tasks toward a backing executor (a remote
-  // worker with a credit window keeps N tasks in flight on the wire). Such
-  // a node returns nullopt from process() while priming its window and
-  // delivers the delayed results through flush() at end of stream. Because
-  // tasks it accepted are no longer visible to the farm, the node — not
-  // the farm's per-call in-flight copy — owns their crash-recovery copies.
+  // worker with a credit window keeps up to N tasks in flight on the wire).
+  // Such a node returns nullopt from process() while its window has room
+  // and delivers the delayed results through flush(). The farm calls
+  // flush() whenever the worker's input is idle, not only at end of
+  // stream, so a result is delivered as soon as the executor answers and
+  // the window caps tasks in flight without holding any result back.
+  // Because tasks it accepted are no longer visible to the farm, the node —
+  // not the farm's per-call in-flight copy — owns their crash-recovery
+  // copies.
 
   /// True when this node keeps its own recovery copies of accepted tasks
   /// (the farm then skips its per-call in-flight stash and recovers via
@@ -75,9 +79,10 @@ class Node {
   /// guarantee of crash recovery rests on that.
   virtual std::vector<Task> drain_unacked() { return {}; }
 
-  /// Drain one pipelined result after the input stream ended (nullopt when
-  /// none remain or the backing executor died; the remainder is then
-  /// recoverable via drain_unacked()).
+  /// Deliver the oldest pipelined result, blocking until it arrives
+  /// (nullopt when none remain or the backing executor died; the remainder
+  /// is then recoverable via drain_unacked()). Called with the input idle
+  /// mid-stream and until dry at end of stream.
   virtual std::optional<Task> flush() { return std::nullopt; }
 
   /// Source protocol: produce the next task; std::nullopt = end of stream.

@@ -9,7 +9,11 @@
 //     once;
 //   * filtered tasks (worker returns nothing) travel as WorkerDone replies
 //     without wedging the farm;
-//   * Link::secure() maps onto upgrading the remote node's wire channel.
+//   * Link::secure() maps onto upgrading the remote node's wire channel;
+//   * a pipelined result is delivered as soon as the worker's input goes
+//     idle, not held until later tasks fill the credit window;
+//   * a daemon that dies while its worker waits on that idle drain has its
+//     in-flight task re-offered at once, not at end of stream.
 //
 // The bskd binary path is injected by CMake as BSK_BSKD_PATH.
 
@@ -17,7 +21,11 @@
 
 #include <signal.h>
 
+#include <algorithm>
+#include <chrono>
+#include <optional>
 #include <set>
+#include <thread>
 
 #include "am/builtin_rules.hpp"
 #include "bs/remote_bs.hpp"
@@ -39,6 +47,23 @@ WorkerPoolOptions fast_pool_opts(const std::string& kind) {
   o.node.result_poll_wall_s = 0.05;
   o.tcp.connect_retries = 3;
   return o;
+}
+
+/// Reaps a daemon however the test exits, so a failed ASSERT cannot leave
+/// it running (and holding the test's output pipe open).
+struct ReapOnExit {
+  BskdProcess& p;
+  ~ReapOnExit() { stop_bskd(p, SIGKILL); }
+};
+
+/// Pop one result from the farm's output within `wall_s` wall seconds.
+std::optional<rt::Task> pop_within(rt::Farm& farm, double wall_s) {
+  rt::Task t;
+  if (farm.output()->pop_for(
+          t, support::SimDuration(wall_s * support::Clock::scale())) !=
+      support::ChannelStatus::Ok)
+    return std::nullopt;
+  return t;
 }
 
 TEST(RemoteFarm, TwoRemoteWorkers200TasksExactlyOnce) {
@@ -202,6 +227,85 @@ TEST(RemoteFarm, SecureAllLinksUpgradesRemoteWireChannels) {
   farm.input()->close();
   farm.wait();
   stop_bskd(daemon, SIGKILL);
+}
+
+TEST(RemoteFarm, LoneTaskReturnsWithoutFollowers) {
+  support::ScopedClockScale fast(100.0);
+  BskdProcess daemon = spawn_bskd(BSK_BSKD_PATH);
+  ReapOnExit reap{daemon};
+  ASSERT_TRUE(daemon.valid());
+
+  WorkerPool pool({{"127.0.0.1", daemon.port}}, fast_pool_opts("echo"));
+  ASSERT_EQ(fast_pool_opts("echo").node.credit_window, 4u);
+  rt::FarmConfig fc;
+  fc.initial_workers = 1;
+  rt::Farm farm("lonefarm", fc, pool.factory());
+  farm.start();
+
+  // One task, input left open: nothing will ever push it out of the
+  // credit window, so its result must come back on its own.
+  farm.input()->push(rt::Task::data(0, 0.0));
+  auto r = pop_within(farm, 1.0);
+  ASSERT_TRUE(r.has_value()) << "lone task held in the credit window";
+  EXPECT_EQ(r->id, 0u);
+
+  // Sparse follow-ups: each returns before the next one is sent.
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    farm.input()->push(rt::Task::data(i, 0.0));
+    r = pop_within(farm, 1.0);
+    ASSERT_TRUE(r.has_value()) << "task " << i << " held";
+    EXPECT_EQ(r->id, i);
+  }
+
+  farm.input()->close();
+  farm.wait();
+  EXPECT_FALSE(pop_within(farm, 0.0).has_value());
+  EXPECT_EQ(pool.remote_nodes_created(), 1u);
+}
+
+TEST(RemoteFarm, DaemonDyingUnderAnIdleWorkerIsRecoveredBeforeEndOfStream) {
+  support::ScopedClockScale fast(100.0);
+  BskdProcess a = spawn_bskd(BSK_BSKD_PATH);
+  BskdProcess b = spawn_bskd(BSK_BSKD_PATH);
+  ReapOnExit reap_a{a}, reap_b{b};
+  ASSERT_TRUE(a.valid());
+  ASSERT_TRUE(b.valid());
+
+  WorkerPoolOptions po = fast_pool_opts("sim");
+  po.node.reconnect_grace_wall_s = 0.5;
+  // No start_watch(): the worker thread itself must notice the death.
+  WorkerPool pool({{"127.0.0.1", a.port}, {"127.0.0.1", b.port}}, po);
+  rt::FarmConfig fc;
+  fc.initial_workers = 2;  // round-robin endpoints: one worker per daemon
+  fc.policy = rt::SchedPolicy::RoundRobin;
+  rt::Farm farm("idlecrash", fc, pool.factory());
+  farm.start();
+  ASSERT_EQ(pool.remote_nodes_created(), 2u);
+
+  // One long task per worker (200 ms of wall time), input left open.
+  const double work = 0.2 * support::Clock::scale();
+  std::vector<rt::Task> two{rt::Task::data(0, work), rt::Task::data(1, work)};
+  farm.input()->push_n(two);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ::kill(a.pid, SIGKILL);  // its worker sits in the idle drain
+
+  std::multiset<std::uint64_t> ids;
+  const double deadline = wall_now() + po.node.reconnect_grace_wall_s + 2.0;
+  while (ids.size() < 2) {
+    auto r = pop_within(farm, std::max(0.0, deadline - wall_now()));
+    if (!r) break;
+    ids.insert(r->id);
+  }
+  EXPECT_EQ(ids.count(0), 1u);
+  EXPECT_EQ(ids.count(1), 1u);
+
+  farm.input()->close();
+  farm.wait();
+  rt::Task extra;
+  while (farm.output()->pop(extra) == support::ChannelStatus::Ok)
+    ids.insert(extra.id);
+  EXPECT_EQ(ids.size(), 2u) << "a result was delivered twice";
 }
 
 }  // namespace
