@@ -31,11 +31,11 @@ void BM_ChannelPushPop(benchmark::State& state) {
 BENCHMARK(BM_ChannelPushPop);
 
 // Producer/consumer stream through a bounded channel. Arg is the batch
-// size: 1 uses the per-item push/pop path (one lock + one CV notify per
-// task — the pre-batching dataplane), larger values move whole batches via
+// size: 1 uses the per-item push/pop path (one lock + one wake per task —
+// the pre-batching dataplane), larger values move whole batches via
 // push_n/pop_n under a single lock acquisition. The wall-clock per-item
 // ratio between Arg(1) and the batched runs is the dataplane speedup
-// BENCH_dataplane.json tracks.
+// BENCH_dataplane_release.json tracks.
 void BM_ChannelBatchTransfer(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   support::Channel<int> ch(1024);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Dataplane before/after numbers (Issue 2): run the E8/E13 micro-benchmarks
 # that exercise the batched-channel and credit-window paths, and distill the
-# google-benchmark JSON into a single machine-readable BENCH_dataplane.json
-# keyed by benchmark name -> {ns_per_op, items_per_second}.
+# google-benchmark JSON into a single machine-readable JSON file keyed by
+# benchmark name -> {ns_per_op, items_per_second}. The committed file is
+# BENCH_dataplane_release.json, from a Release build only.
 #
 # Usage: scripts/bench_dataplane.sh [--release] [build-dir] [out-json] [min-time]
 #   --release  configure+build an optimized tree (build-release/,
@@ -13,8 +14,10 @@
 #              magnitude.
 #   build-dir  cmake build directory holding bench/ binaries (default: build,
 #              or build-release with --release)
-#   out-json   output path (default: BENCH_dataplane.json in the repo root,
-#              or BENCH_dataplane_release.json with --release)
+#   out-json   output path (default: BENCH_dataplane_release.json in the
+#              repo root, which only a --release run may write; a run on
+#              any other build must name its own output, e.g. the CI smoke
+#              file BENCH_dataplane_smoke.json)
 #   min-time   --benchmark_min_time per benchmark, e.g. 0.05s for a CI smoke
 #              run (default: benchmark's own default)
 #
@@ -33,11 +36,15 @@ fi
 
 if [ "$RELEASE" = 1 ]; then
   BUILD="${1:-$ROOT/build-release}"
-  OUT="${2:-$ROOT/BENCH_dataplane_release.json}"
 else
   BUILD="${1:-$ROOT/build}"
-  OUT="${2:-$ROOT/BENCH_dataplane.json}"
+  if [ -z "${2:-}" ]; then
+    echo "ERROR: only --release writes BENCH_dataplane_release.json;" \
+      "name an output file for a run on $BUILD" >&2
+    exit 1
+  fi
 fi
+OUT="${2:-$ROOT/BENCH_dataplane_release.json}"
 MIN_TIME="${3:-}"
 
 if [ "$RELEASE" = 1 ]; then

@@ -60,12 +60,13 @@ for name in "${EXPECTED[@]}"; do
 done
 
 # Distill the dataplane micro-benchmarks (E8 channel batching, E13 credit
-# pipelining) into the machine-readable BENCH_dataplane.json.
+# pipelining) into the machine-readable BENCH_dataplane_release.json, from
+# its own Release tree (build-release/).
 echo
 echo "===================================================================="
-echo "== BENCH_dataplane.json"
+echo "== BENCH_dataplane_release.json"
 echo "===================================================================="
-"$(dirname "$0")/bench_dataplane.sh" "$BUILD"
+"$(dirname "$0")/bench_dataplane.sh" --release
 
 # E1 observability capture: rerun fig3 with workers hosted in a bskd,
 # archive the per-process metrics + trace files, merge them into one

@@ -2,24 +2,21 @@
 
 #include <dirent.h>
 #include <fcntl.h>
-#include <linux/futex.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.hpp"
+#include "support/wait.hpp"
 
 namespace bsk::net {
 
@@ -36,7 +33,7 @@ struct ShmObs {
       obs::counter("bsk_net_shm_bytes_received_total", "bytes read from rings");
   obs::Counter& futex_waits = obs::counter(
       "bsk_net_shm_futex_waits_total",
-      "ring waits that exhausted the spin/yield rungs and slept");
+      "ring waits that reached the park rung of the wait ladder");
   obs::Counter& full_stalls = obs::counter(
       "bsk_net_shm_ring_full_stalls_total", "sends that waited for ring space");
   obs::Counter& segments =
@@ -56,41 +53,11 @@ ShmObs& shm_obs() {
 constexpr std::uint32_t kShmMagic = 0x42534b4d;  // "BSKM"
 constexpr std::uint32_t kShmVersion = 1;
 
-// Non-private futex ops: the sequence words live in a MAP_SHARED segment
-// and must wake waiters in the peer process.
-long sys_futex(std::atomic<std::uint32_t>* uaddr, int op, std::uint32_t val,
-               const timespec* timeout) {
-  return ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(uaddr), op, val,
-                   timeout, nullptr, 0);
-}
-
-void futex_wait_for(std::atomic<std::uint32_t>* uaddr, std::uint32_t expected,
-                    long timeout_ns) {
-  timespec ts{0, timeout_ns};
-  sys_futex(uaddr, FUTEX_WAIT, expected, &ts);
-}
-
-void futex_wake_all(std::atomic<std::uint32_t>* uaddr) {
-  sys_futex(uaddr, FUTEX_WAKE, INT_MAX, nullptr);
-}
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
 std::size_t round_pow2(std::size_t v) {
   std::size_t p = 4096;
   while (p < v) p <<= 1;
   return p;
 }
-
-// Futex sleep bound: short enough that a missed wake or a peer that died
-// without closing is noticed promptly via the closed-bit recheck.
-constexpr long kFutexSliceNs = 50'000'000;  // 50 ms
 
 }  // namespace
 
@@ -98,9 +65,9 @@ namespace shm_detail {
 
 // Per-direction ring control. head counts bytes ever produced, tail bytes
 // ever consumed (both monotonically increasing; ring index = offset &
-// (ring_bytes-1)). data_seq/space_seq are the futex words bumped on every
-// publish/consume; the waiter counters let the fast path skip the wake
-// syscall when nobody sleeps. Producer and consumer cachelines are kept
+// (ring_bytes-1)). data_seq/data_waiters and space_seq/space_waiters are
+// the support::wait protocol words of the two conditions (shared scope:
+// the peer process wakes them). Producer and consumer cachelines are kept
 // apart.
 struct alignas(64) RingCtl {
   std::atomic<std::uint64_t> head;
@@ -138,6 +105,18 @@ Mapping::~Mapping() {
 using shm_detail::Mapping;
 using shm_detail::RingCtl;
 using shm_detail::SegmentHdr;
+
+namespace {
+
+support::WaitRef data_word(RingCtl& c) {
+  return {c.data_seq, c.data_waiters, support::WaitScope::Shared};
+}
+
+support::WaitRef space_word(RingCtl& c) {
+  return {c.space_seq, c.space_waiters, support::WaitScope::Shared};
+}
+
+}  // namespace
 
 // ------------------------------------------------------------ construction
 
@@ -293,10 +272,8 @@ void ShmTransport::close() {
   if ((h->closed.fetch_or(bit, std::memory_order_acq_rel) & bit) == 0) {
     // Wake every waiter on both rings so blocked peers re-check the flag.
     for (RingCtl& c : h->ring) {
-      c.data_seq.fetch_add(1, std::memory_order_release);
-      c.space_seq.fetch_add(1, std::memory_order_release);
-      futex_wake_all(&c.data_seq);
-      futex_wake_all(&c.space_seq);
+      support::wake(data_word(c));
+      support::wake(space_word(c));
     }
   }
   if (anchor_) anchor_->close();
@@ -318,34 +295,24 @@ void ShmTransport::fail_decode(DecodeError e) {
 // ----------------------------------------------------------------- sending
 
 // Block until the producer ring has `need` free bytes (need ≤ cap). Returns
-// false if the transport closed while waiting. Spin/yield rungs are skipped
-// here: a full ring means the consumer is behind by a whole ring's worth,
-// so the wait is macroscopic and the futex is the right tool.
+// false if the transport closed while waiting. A full ring means the
+// consumer is a whole ring behind, so this is a space wait: it parks at
+// once.
 bool ShmTransport::wait_space_locked(std::uint64_t need) {
   RingCtl& c = tx_ctl();
   const std::uint64_t cap = hdr()->ring_bytes;
-  const auto space = [&] {
+  const auto fits = [&] {
     return cap - (c.head.load(std::memory_order_relaxed) -
-                  c.tail.load(std::memory_order_acquire));
+                  c.tail.load(std::memory_order_acquire)) >=
+           need;
   };
-  if (space() >= need) return true;
+  if (fits()) return true;
   shm_obs().full_stalls.inc();
-  for (unsigned i = 0; i < opts_.yields; ++i) {
-    if (space() >= need) return true;
-    if (closed()) return false;
-    std::this_thread::yield();
-  }
-  for (;;) {
-    const std::uint32_t seq = c.space_seq.load(std::memory_order_acquire);
-    if (space() >= need) return true;
-    if (closed()) return false;
-    c.space_waiters.fetch_add(1, std::memory_order_acq_rel);
-    if (space() < need) {
-      shm_obs().futex_waits.inc();
-      futex_wait_for(&c.space_seq, seq, kFutexSliceNs);
-    }
-    c.space_waiters.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  return support::wait_space(space_word(c), fits, [this] { return closed(); },
+                             support::kNoDeadline, [] {
+                               shm_obs().futex_waits.inc();
+                               return false;
+                             }) == support::WaitStatus::Ready;
 }
 
 // Copy `n` bytes into the producer ring at absolute offset `at` (no
@@ -367,9 +334,7 @@ void ShmTransport::publish(std::uint64_t n) {
   RingCtl& c = tx_ctl();
   const std::uint64_t head = c.head.load(std::memory_order_relaxed);
   c.head.store(head + n, std::memory_order_release);
-  c.data_seq.fetch_add(1, std::memory_order_release);
-  if (c.data_waiters.load(std::memory_order_acquire) != 0)
-    futex_wake_all(&c.data_seq);
+  support::wake(data_word(c));
 }
 
 bool ShmTransport::ring_write(const std::uint8_t* p, std::size_t n) {
@@ -514,84 +479,67 @@ void ShmTransport::consume(std::size_t n) {
   RingCtl& c = rx_ctl();
   const std::uint64_t tail = c.tail.load(std::memory_order_relaxed);
   c.tail.store(tail + n, std::memory_order_release);
-  c.space_seq.fetch_add(1, std::memory_order_release);
-  if (c.space_waiters.load(std::memory_order_acquire) != 0)
-    futex_wake_all(&c.space_seq);
+  support::wake(space_word(c));
 }
 
-bool ShmTransport::wait_readable(std::size_t need, bool bounded,
-                                 double deadline, Frame* control_out,
+bool ShmTransport::wait_readable(std::size_t need,
+                                 support::WaitClock::time_point deadline,
+                                 Frame* control_out,
                                  RecvStatus* control_status) {
   RingCtl& c = rx_ctl();
-  const auto avail = [&] {
+  const auto readable = [&] {
     return c.head.load(std::memory_order_acquire) -
-           c.tail.load(std::memory_order_relaxed);
+               c.tail.load(std::memory_order_relaxed) >=
+           need;
   };
-
-  // Rung 1: busy spin — the peer is typically mid-write on another core.
-  for (unsigned i = 0; i < opts_.spin; ++i) {
-    if (avail() >= need) return true;
-    cpu_relax();
-  }
-
-  // Rung 2: sched_yield — on machines with fewer cores than busy threads
-  // (including the 1-CPU case) this hands the core to the peer and is the
-  // rung that carries microsecond round-trips.
-  for (unsigned i = 0; i < opts_.yields; ++i) {
-    if (avail() >= need) return true;
-    if (closed() && avail() < need) {
-      *control_status = RecvStatus::Closed;
-      return false;
-    }
-    if (bounded && wall_now() >= deadline) {
+  // While polling only the closed bit is checked; the anchor (a silently
+  // dead peer, or control frames — Leave at daemon shutdown, Shutdown —
+  // which matter only once the rings are idle) is looked at before each
+  // park slice.
+  const auto closed_bit = [this] {
+    return hdr()->closed.load(std::memory_order_acquire) != 0;
+  };
+  bool control = false;
+  const auto before_park = [&] {
+    shm_obs().futex_waits.inc();
+    if (anchor_ == nullptr) return false;
+    if (closed()) return true;
+    if (control_out == nullptr) return false;
+    Frame f;
+    if (anchor_->recv_for(f, 0.0) != RecvStatus::Ok) return false;
+    *control_out = std::move(f);
+    control = true;
+    return true;
+  };
+  switch (support::wait_frame(data_word(c), readable, closed_bit, deadline,
+                              before_park)) {
+    case support::WaitStatus::Ready:
+      return true;
+    case support::WaitStatus::TimedOut:
       *control_status = RecvStatus::TimedOut;
       return false;
-    }
-    std::this_thread::yield();
-  }
-
-  // Rung 3: futex sleep, rechecking the closed bit and the anchor each
-  // bounded slice. Control frames arriving on the TCP anchor (Leave at
-  // daemon shutdown, Shutdown) are surfaced from here — by the time they
-  // matter the rings are idle.
-  for (;;) {
-    const std::uint32_t seq = c.data_seq.load(std::memory_order_acquire);
-    if (avail() >= need) return true;
-    if (closed() && avail() < need) {
-      *control_status = RecvStatus::Closed;
+    case support::WaitStatus::Stopped:
+      *control_status = control ? RecvStatus::Ok : RecvStatus::Closed;
       return false;
-    }
-    if (bounded && wall_now() >= deadline) {
-      *control_status = RecvStatus::TimedOut;
-      return false;
-    }
-    if (anchor_ != nullptr && control_out != nullptr) {
-      Frame f;
-      if (anchor_->recv_for(f, 0.0) == RecvStatus::Ok) {
-        *control_out = std::move(f);
-        *control_status = RecvStatus::Ok;
-        return false;
-      }
-    }
-    c.data_waiters.fetch_add(1, std::memory_order_acq_rel);
-    if (avail() < need) {
-      shm_obs().futex_waits.inc();
-      futex_wait_for(&c.data_seq, seq, kFutexSliceNs);
-    }
-    c.data_waiters.fetch_sub(1, std::memory_order_acq_rel);
   }
+  return false;
 }
 
 RecvStatus ShmTransport::recv_until(Frame& out, bool bounded,
                                     double wall_seconds) {
-  const double deadline = bounded ? wall_now() + wall_seconds : 0.0;
+  const auto deadline =
+      bounded ? support::WaitClock::now() +
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::duration<double>(
+                            std::min(wall_seconds, 1e9)))
+              : support::kNoDeadline;
   RingCtl& c = rx_ctl();
   const std::uint64_t cap = hdr()->ring_bytes;
 
   for (;;) {  // loop absorbs heartbeats
     RecvStatus st = RecvStatus::Closed;
     Frame control;
-    if (!wait_readable(8, bounded, deadline, &control, &st)) {
+    if (!wait_readable(8, deadline, &control, &st)) {
       if (st == RecvStatus::Ok) {  // control frame from the anchor
         out = std::move(control);
         frames_received_.fetch_add(1, std::memory_order_relaxed);
@@ -624,8 +572,8 @@ RecvStatus ShmTransport::recv_until(Frame& out, bool bounded,
     if (total <= cap) {
       // Small frame: the producer published it whole, so completing the
       // read never blocks past a published header.
-      if (!wait_readable(static_cast<std::size_t>(total), bounded, deadline,
-                         &control, &st)) {
+      if (!wait_readable(static_cast<std::size_t>(total), deadline, &control,
+                         &st)) {
         if (st == RecvStatus::Ok) {  // header stays unconsumed in the ring
           out = std::move(control);
           frames_received_.fetch_add(1, std::memory_order_relaxed);
@@ -643,14 +591,14 @@ RecvStatus ShmTransport::recv_until(Frame& out, bool bounded,
       // Giant frame (larger than the ring): stream it, consuming and
       // re-publishing tail progressively so the producer can keep writing.
       consume(8);
-      if (!wait_readable(1, false, 0.0, nullptr, &st)) return st;
+      if (!wait_readable(1, support::kNoDeadline, nullptr, &st)) return st;
       read_span(c.tail.load(std::memory_order_relaxed), &type, 1);
       consume(1);
       crc = crc32(&type, 1);
       out.payload.resize(len - 1);
       std::size_t got = 0;
       while (got < out.payload.size()) {
-        if (!wait_readable(1, false, 0.0, nullptr, &st)) return st;
+        if (!wait_readable(1, support::kNoDeadline, nullptr, &st)) return st;
         const std::uint64_t t2 = c.tail.load(std::memory_order_relaxed);
         const std::uint64_t a =
             c.head.load(std::memory_order_acquire) - t2;

@@ -8,15 +8,16 @@
 // bit-compatible with TCP: the chaos FaultInjector wraps it unchanged and a
 // frame captured off either transport is the same bytes.
 //
-// Waiting is a three-rung ladder tuned for colocated processes on few
-// cores: a short spin (peer is mid-write), sched_yield (peer needs the
-// core — on a 1-CPU box this is the rung that actually runs and is what
-// keeps round-trips in the microsecond range), then a futex sleep on a
-// sequence word (non-private futex: it lives in the shared mapping), woken
-// by the producer only when the waiter count says someone is parked. A
-// frame is published with a single head-pointer store once fully written,
-// so a consumer never observes a torn frame; frames larger than the ring
-// stream through in chunks with progressive head/tail publication.
+// Waiting goes through the one wait ladder of the runtime
+// (support/wait.hpp), the same one support::Channel uses: a reader spins,
+// polls for a short window (it takes no lock, and a round trip in flight
+// must not park), then parks on the ring's data_seq futex word; a writer
+// facing a full ring parks on space_seq at once. The words live in the
+// shared mapping (non-private futex ops) and the other side pays for a
+// wake syscall only when the waiter count says someone is parked. A frame is published with
+// a single head-pointer store once fully written, so a consumer never
+// observes a torn frame; frames larger than the ring stream through in
+// chunks with progressive head/tail publication.
 //
 // Negotiation: a WorkerPool client that resolved its endpoint to the local
 // machine sets want_shm in its Hello; bskd creates a named segment
@@ -35,6 +36,7 @@
 
 #include "net/transport.hpp"
 #include "support/thread_annotations.hpp"
+#include "support/wait.hpp"
 
 namespace bsk::net {
 
@@ -57,8 +59,6 @@ struct Mapping {
 struct ShmOptions {
   std::size_t ring_bytes = 1u << 20;  ///< per-direction ring (pow2-rounded)
   std::size_t max_frame = kDefaultMaxFrame;
-  unsigned spin = 64;     ///< wait-ladder rung 1: busy spins
-  unsigned yields = 256;  ///< wait-ladder rung 2: sched_yield rounds
 };
 
 class ShmTransport final : public Transport {
@@ -132,7 +132,7 @@ class ShmTransport final : public Transport {
   void publish(std::uint64_t n) BSK_REQUIRES(send_mu_);
   bool ring_write(const std::uint8_t* p, std::size_t n)
       BSK_REQUIRES(send_mu_);
-  bool wait_readable(std::size_t need, bool bounded, double deadline,
+  bool wait_readable(std::size_t need, support::WaitClock::time_point deadline,
                      Frame* control_out, RecvStatus* control_status);
   RecvStatus recv_until(Frame& out, bool bounded, double wall_seconds);
   void read_span(std::uint64_t from, std::uint8_t* dst, std::size_t n) const;

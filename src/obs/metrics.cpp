@@ -6,6 +6,7 @@
 
 #include "support/clock.hpp"
 #include "support/json.hpp"
+#include "support/wait.hpp"
 
 namespace bsk::obs {
 
@@ -73,6 +74,15 @@ void Histogram::reset() noexcept {
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry reg;
+  // support cannot link obs, so the wait ladder reports its lost-wakeup
+  // detector through a sink installed with the registry.
+  static Counter& lost_wakes = reg.counter(
+      "bsk_support_wait_slice_timeouts_with_data_total",
+      "futex park slices (Channel and shm ring waits) that timed out with "
+      "their condition already true: lost wake-ups");
+  static const bool wait_sink_installed =
+      (support::set_slice_timeout_sink([] { lost_wakes.inc(); }), true);
+  (void)wait_sink_installed;
   return reg;
 }
 

@@ -69,6 +69,7 @@ std::optional<rt::Task> pop_within(rt::Farm& farm, double wall_s) {
 TEST(RemoteFarm, TwoRemoteWorkers200TasksExactlyOnce) {
   support::ScopedClockScale fast(100.0);
   BskdProcess daemon = spawn_bskd(BSK_BSKD_PATH);
+  ReapOnExit reap{daemon};
   ASSERT_TRUE(daemon.valid()) << "could not spawn " << BSK_BSKD_PATH;
 
   WorkerPool pool({{"127.0.0.1", daemon.port}}, fast_pool_opts("echo"));
@@ -111,6 +112,7 @@ TEST(RemoteFarm, TwoRemoteWorkers200TasksExactlyOnce) {
 TEST(RemoteFarm, KillingBskdMidStreamAmReplacesAndStreamCompletes) {
   support::ScopedClockScale fast(100.0);
   BskdProcess daemon = spawn_bskd(BSK_BSKD_PATH);
+  ReapOnExit reap{daemon};
   ASSERT_TRUE(daemon.valid()) << "could not spawn " << BSK_BSKD_PATH;
 
   WorkerPool pool({{"127.0.0.1", daemon.port}}, fast_pool_opts("sim"));
@@ -173,6 +175,7 @@ TEST(RemoteFarm, KillingBskdMidStreamAmReplacesAndStreamCompletes) {
 TEST(RemoteFarm, FilteredTasksTravelAsWorkerDoneReplies) {
   support::ScopedClockScale fast(100.0);
   BskdProcess daemon = spawn_bskd(BSK_BSKD_PATH);
+  ReapOnExit reap{daemon};
   ASSERT_TRUE(daemon.valid());
 
   WorkerPool pool({{"127.0.0.1", daemon.port}}, fast_pool_opts("filter_odd"));
@@ -205,6 +208,7 @@ TEST(RemoteFarm, FilteredTasksTravelAsWorkerDoneReplies) {
 TEST(RemoteFarm, SecureAllLinksUpgradesRemoteWireChannels) {
   support::ScopedClockScale fast(100.0);
   BskdProcess daemon = spawn_bskd(BSK_BSKD_PATH);
+  ReapOnExit reap{daemon};
   ASSERT_TRUE(daemon.valid());
 
   WorkerPool pool({{"127.0.0.1", daemon.port}}, fast_pool_opts("echo"));

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -25,6 +26,8 @@
 #include "net/chaos.hpp"
 #include "net/shm.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
+#include "support/channel.hpp"
 
 namespace bsk::net {
 namespace {
@@ -309,6 +312,65 @@ TEST(ShmTransport, ReapRemovesDeadOwnersSegmentsOnly) {
   EXPECT_GE(fd, 0);
   if (fd >= 0) ::close(fd);
   ::shm_unlink(live);
+}
+
+TEST(WaitLadder, PingPongThroughChannelsAndShmLosesNoWakeup) {
+  // One token circles main → Channel → B → shm ring → C → Channel → D →
+  // Channel → main, with gaps of 0–1.2 ms between rounds, so the waiters
+  // sit on every rung: spin, the poll rung of a sparse stream, and park
+  // (after a dense wait, or once a gap outlasts the poll window). A
+  // wake-up lost anywhere shows as a park slice that timed out with its
+  // condition already true.
+  obs::Counter& lost =
+      obs::counter("bsk_support_wait_slice_timeouts_with_data_total");
+  obs::Counter& parks = obs::counter("bsk_net_shm_futex_waits_total");
+  const std::uint64_t lost0 = lost.value();
+  const std::uint64_t parks0 = parks.value();
+
+  support::Channel<std::uint64_t> ab(4), cd(4), da(4);
+  auto pair = ShmTransport::make_pair();
+  ASSERT_TRUE(pair.a && pair.b);
+  std::jthread b([&] {
+    std::uint64_t v = 0;
+    while (ab.pop(v) == support::ChannelStatus::Ok) {
+      std::vector<std::uint8_t> bytes(sizeof v);
+      std::memcpy(bytes.data(), &v, sizeof v);
+      if (!pair.a->send(msg(FrameType::TaskMsg, std::move(bytes)))) break;
+    }
+    pair.a->close();
+  });
+  std::jthread c([&] {
+    Frame f;
+    while (pair.b->recv(f) == RecvStatus::Ok) {
+      std::uint64_t v = 0;
+      std::memcpy(&v, f.payload.data(), sizeof v);
+      cd.push(v);
+    }
+    cd.close();
+  });
+  std::jthread d([&] {
+    std::uint64_t v = 0;
+    while (cd.pop(v) == support::ChannelStatus::Ok) da.push(v);
+    da.close();
+  });
+  struct CloseOnExit {  // a failed ASSERT must not leave B blocked
+    support::Channel<std::uint64_t>& ch;
+    ~CloseOnExit() { ch.close(); }
+  } close_ab{ab};
+
+  constexpr std::uint64_t kRounds = 3000;
+  for (std::uint64_t i = 0; i < kRounds; ++i) {
+    ASSERT_TRUE(ab.push(i));
+    std::uint64_t back = 0;
+    ASSERT_EQ(da.pop(back), support::ChannelStatus::Ok);
+    ASSERT_EQ(back, i);
+    std::this_thread::sleep_for(std::chrono::microseconds((i % 4) * 400));
+  }
+
+  EXPECT_EQ(lost.value() - lost0, 0u);
+  if (obs::enabled()) {
+    EXPECT_GT(parks.value() - parks0, 0u);
+  }
 }
 
 }  // namespace

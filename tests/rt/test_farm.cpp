@@ -1,10 +1,13 @@
 // Farm: correctness under every policy/collection mode, ordering, reduce.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <type_traits>
 
 #include "rt/farm.hpp"
@@ -48,6 +51,38 @@ TEST(Farm, ProcessesAllTasksRoundRobin) {
   const auto ids = drain_ids(f);
   EXPECT_EQ(ids.size(), 100u);
   EXPECT_EQ(std::set<std::uint64_t>(ids.begin(), ids.end()).size(), 100u);
+}
+
+/// CPU seconds (user + system) this process has used so far.
+double process_cpu_s() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
+TEST(Farm, IdleFarmWithOpenInputBurnsNoCpu) {
+  // A sparse trickle first, so every wait word is primed for the poll
+  // rung; then the input stays open and empty. Once the poll window has
+  // passed every waiter must be parked, and a timed pop that keeps timing
+  // out (the collector's) must go straight back to the park rung.
+  FarmConfig cfg;
+  cfg.initial_workers = 4;
+  Farm f("idle", cfg, identity_workers());
+  f.start();
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(f.input()->push(Task::data(i, 0.0)));
+    Task t;
+    ASSERT_EQ(f.output()->pop(t), support::ChannelStatus::Ok);
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const double cpu0 = process_cpu_s();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double burnt_ms = 1e3 * (process_cpu_s() - cpu0);
+  f.input()->close();
+  f.wait();
+  EXPECT_LT(burnt_ms, 30.0);
 }
 
 TEST(Farm, ProcessesAllTasksOnDemand) {

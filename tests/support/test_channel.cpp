@@ -479,5 +479,143 @@ TEST(Channel, MpmcBatchedStressDeliversEverythingExactlyOnce) {
   for (const int v : seen) EXPECT_EQ(seen.count(v), 1u) << "duplicate " << v;
 }
 
+// ---------------------------------------------------------------- wait ladder
+//
+// The channel waits through support/wait.hpp: spin, a wall-bounded poll
+// rung while the stream is sparse, then a futex park. A lost wake-up costs
+// a 50 ms park slice, so every bound below is well under it.
+
+using WallClock = std::chrono::steady_clock;
+
+double ms_between(WallClock::time_point t0, WallClock::time_point t1) {
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+double ms_since(WallClock::time_point t0) {
+  return ms_between(t0, WallClock::now());
+}
+
+/// Make the channel's consumer word sparse: a pop that waits longer than
+/// the sparse threshold (but not past the poll window) for its item sends
+/// the next wait to the poll rung.
+void make_sparse(Channel<int>& ch) {
+  std::jthread late([&ch] {
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    ch.push(0);
+  });
+  int v = -1;
+  ASSERT_EQ(ch.pop(v), ChannelStatus::Ok);
+}
+
+TEST(Channel, CloseWakesAPollingAndAParkedConsumerWithin10ms) {
+  // Poll rung: the word is sparse, so the pop polls for up to 1 ms;
+  // close() lands 200 µs in. Park rung: a fresh word parks right after the
+  // spin, and close() lands 20 ms later.
+  for (const bool polling : {true, false}) {
+    Channel<int> ch(4);
+    if (polling) make_sparse(ch);
+    std::atomic<bool> entered{false};
+    std::atomic<ChannelStatus> st{ChannelStatus::Ok};
+    WallClock::time_point returned{};
+    std::jthread consumer([&] {
+      int v = 0;
+      entered.store(true);
+      st.store(ch.pop(v));
+      returned = WallClock::now();
+    });
+    while (!entered.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(polling ? std::chrono::microseconds(200)
+                                         : std::chrono::microseconds(20000));
+    const auto t0 = WallClock::now();
+    ch.close();
+    consumer.join();
+    EXPECT_EQ(st.load(), ChannelStatus::Closed) << "polling=" << polling;
+    EXPECT_LT(ms_between(t0, returned), 10.0) << "polling=" << polling;
+  }
+}
+
+TEST(Channel, ReopenLeavesBlockedProducersAndConsumersWakeable) {
+  // A consumer parked on an empty channel and a producer parked on a full
+  // one both see close()+reopen() and wait again; the next push / pop must
+  // still reach them promptly.
+  Channel<int> in(4);
+  Channel<int> full(1);
+  ASSERT_TRUE(full.push(0));
+  std::atomic<bool> got{false}, put{false};
+  std::jthread consumer([&] {
+    int v = 0;
+    while (in.pop(v) != ChannelStatus::Ok) {
+    }
+    got.store(true);
+  });
+  std::jthread producer([&] {
+    int v = 1;
+    while (full.push_for(v, SimDuration(60.0)) != ChannelStatus::Ok) {
+    }
+    put.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  in.close();
+  full.close();
+  in.reopen();
+  full.reopen();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const auto t0 = WallClock::now();
+  ASSERT_TRUE(in.push(7));
+  int v = -1;
+  ASSERT_EQ(full.pop(v), ChannelStatus::Ok);
+  consumer.join();
+  producer.join();
+  EXPECT_TRUE(got.load());
+  EXPECT_TRUE(put.load());
+  EXPECT_LT(ms_since(t0), 25.0);
+}
+
+TEST(Channel, StealBackWakesAProducerBlockedOnAFullChannel) {
+  Channel<int> ch(2);
+  ASSERT_TRUE(ch.push(1));
+  ASSERT_TRUE(ch.push(2));
+  WallClock::time_point pushed{};
+  std::jthread producer([&] {
+    EXPECT_TRUE(ch.push(3));
+    pushed = WallClock::now();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = WallClock::now();
+  EXPECT_EQ(ch.steal_back(1).size(), 1u);
+  producer.join();
+  EXPECT_LT(ms_between(t0, pushed), 25.0);
+  EXPECT_EQ(ch.size(), 2u);
+}
+
+TEST(Channel, TimedOpsShorterThanThePollWindowReturnOnTime) {
+  // 100 µs deadlines on an empty channel whose stream is sparse (a longer
+  // wait would poll) or on a full one: TimedOut within the deadline plus
+  // 2 ms. A deadline shorter than the poll window parks on a timed futex
+  // at once: a poller that loses its core gets it back only on its turn.
+  constexpr double kLimitMs = 0.1 + 2.0;
+  const SimDuration d(100e-6);
+  Channel<int> ch(1);
+  make_sparse(ch);
+  int v = 0;
+  auto t0 = WallClock::now();
+  EXPECT_EQ(ch.pop_for(v, d), ChannelStatus::TimedOut);
+  EXPECT_LT(ms_since(t0), kLimitMs);
+
+  make_sparse(ch);
+  std::vector<int> out;
+  t0 = WallClock::now();
+  EXPECT_EQ(ch.pop_n_for(out, 8, d), ChannelStatus::TimedOut);
+  EXPECT_LT(ms_since(t0), kLimitMs);
+  EXPECT_TRUE(out.empty());
+
+  ASSERT_TRUE(ch.push(1));  // full
+  int item = 2;
+  t0 = WallClock::now();
+  EXPECT_EQ(ch.push_for(item, d), ChannelStatus::TimedOut);
+  EXPECT_LT(ms_since(t0), kLimitMs);
+  EXPECT_EQ(item, 2);
+}
+
 }  // namespace
 }  // namespace bsk::support
