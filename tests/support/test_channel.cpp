@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -593,28 +594,38 @@ TEST(Channel, TimedOpsShorterThanThePollWindowReturnOnTime) {
   // wait would poll) or on a full one: TimedOut within the deadline plus
   // 2 ms. A deadline shorter than the poll window parks on a timed futex
   // at once: a poller that loses its core gets it back only on its turn.
+  // The best of three tries must meet the bound: the host can stall any
+  // one timed wake-up by a few ms, but an overrun built into the ladder
+  // (a full poll window, a park slice) shows in every try.
   constexpr double kLimitMs = 0.1 + 2.0;
   const SimDuration d(100e-6);
   Channel<int> ch(1);
-  make_sparse(ch);
-  int v = 0;
-  auto t0 = WallClock::now();
-  EXPECT_EQ(ch.pop_for(v, d), ChannelStatus::TimedOut);
-  EXPECT_LT(ms_since(t0), kLimitMs);
+  double pop_ms = 1e9, pop_n_ms = 1e9, push_ms = 1e9;
+  for (int i = 0; i < 3; ++i) {
+    make_sparse(ch);
+    int v = 0;
+    auto t0 = WallClock::now();
+    EXPECT_EQ(ch.pop_for(v, d), ChannelStatus::TimedOut);
+    pop_ms = std::min(pop_ms, ms_since(t0));
 
-  make_sparse(ch);
-  std::vector<int> out;
-  t0 = WallClock::now();
-  EXPECT_EQ(ch.pop_n_for(out, 8, d), ChannelStatus::TimedOut);
-  EXPECT_LT(ms_since(t0), kLimitMs);
-  EXPECT_TRUE(out.empty());
+    make_sparse(ch);
+    std::vector<int> out;
+    t0 = WallClock::now();
+    EXPECT_EQ(ch.pop_n_for(out, 8, d), ChannelStatus::TimedOut);
+    pop_n_ms = std::min(pop_n_ms, ms_since(t0));
+    EXPECT_TRUE(out.empty());
 
-  ASSERT_TRUE(ch.push(1));  // full
-  int item = 2;
-  t0 = WallClock::now();
-  EXPECT_EQ(ch.push_for(item, d), ChannelStatus::TimedOut);
-  EXPECT_LT(ms_since(t0), kLimitMs);
-  EXPECT_EQ(item, 2);
+    ASSERT_TRUE(ch.push(1));  // full
+    int item = 2;
+    t0 = WallClock::now();
+    EXPECT_EQ(ch.push_for(item, d), ChannelStatus::TimedOut);
+    push_ms = std::min(push_ms, ms_since(t0));
+    EXPECT_EQ(item, 2);
+    ASSERT_EQ(ch.pop(v), ChannelStatus::Ok);  // empty again
+  }
+  EXPECT_LT(pop_ms, kLimitMs);
+  EXPECT_LT(pop_n_ms, kLimitMs);
+  EXPECT_LT(push_ms, kLimitMs);
 }
 
 }  // namespace
