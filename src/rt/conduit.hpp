@@ -10,6 +10,8 @@
 // RemoteConduit) can substitute a real wire for the in-memory queue while
 // the runtime keeps talking to the same abstraction.
 
+#include <atomic>
+#include <cstddef>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -74,6 +76,21 @@ class Conduit {
   virtual support::ChannelStatus pop_n(std::vector<Task>& out,
                                        std::size_t max) {
     return ch_.pop_n(out, max);
+  }
+
+  /// As pop_n(), adding the number of data tasks taken to `staged` before
+  /// size() stops counting them, so size() + staged (read in that order)
+  /// never misses a batch on its way to the worker.
+  virtual support::ChannelStatus pop_n_staged(
+      std::vector<Task>& out, std::size_t max,
+      std::atomic<std::size_t>& staged) {
+    return ch_.pop_n(out, max, [&out, &staged](std::size_t k) {
+      std::size_t data = 0;
+      for (auto it = out.end() - static_cast<std::ptrdiff_t>(k);
+           it != out.end(); ++it)
+        if (it->is_data()) ++data;
+      staged.fetch_add(data, std::memory_order_relaxed);
+    });
   }
 
   virtual support::ChannelStatus pop_n_for(std::vector<Task>& out,

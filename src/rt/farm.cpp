@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "rt/ordered_window.hpp"
@@ -264,57 +265,74 @@ std::size_t Farm::rebalance() {
     if (!w->retiring.load() && !w->failed.load()) active.push_back(w);
   if (active.size() < 2) return 0;
 
+  // Plan every move from one reading of the depths, then move. Depth counts
+  // the channel plus the worker's staged batch so the plan matches what
+  // queue_lengths() reports; only the channel share is stealable — staged
+  // tasks belong to their worker. Re-reading depths while moving chased a
+  // worker caught between popping a batch and staging it: it read as empty
+  // and was handed another share, leaving a spread of a whole batch.
+  const std::size_t n = active.size();
+  std::vector<std::size_t> have(n);
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) total += have[i] = depth(active[i]);
+  // Target total/n each; the remainder stays on the deepest queues, which
+  // moves the fewest tasks.
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return have[a] > have[b];
+                   });
+  std::vector<std::size_t> want(n);
+  for (std::size_t j = 0; j < n; ++j)
+    want[order[j]] = total / n + (j < total % n ? 1 : 0);
+
+  // Data only: a poison pill queued by end of stream or remove_worker()
+  // (which can land between the snapshot above and this steal) stays with
+  // its worker; moved, it would retire another worker twice and leave this
+  // one waiting forever.
+  std::vector<std::pair<Task, Worker*>> surplus;  // task, where it came from
+  for (std::size_t i = 0; i < n; ++i) {
+    if (have[i] <= want[i]) continue;
+    for (auto& t : active[i]->in->steal_data_back(have[i] - want[i]))
+      surplus.emplace_back(std::move(t), active[i]);
+  }
+
   std::size_t moved = 0;
-  // Iterate until queue depths are within 1 of each other (or nothing can
-  // be moved). Depth counts the channel plus the worker's staged batch so
-  // the balance matches what queue_lengths() reports; only the channel
-  // share is stealable — staged tasks belong to their worker.
-  const auto depth = [](const Worker* w) {
-    return w->in->size() + w->staged.load(std::memory_order_relaxed);
-  };
-  for (int pass = 0; pass < 64; ++pass) {
-    Worker* longest = active.front();
-    Worker* shortest = active.front();
-    for (Worker* w : active) {
-      if (depth(w) > depth(longest)) longest = w;
-      if (depth(w) < depth(shortest)) shortest = w;
+  std::size_t next = 0;  // first surplus task not yet placed
+  // Never block on a give-back: every offer is non-blocking. Blocking here
+  // deadlocked when all queues were full and the workers themselves were
+  // parked on a full collector queue. Shallowest queues fill first.
+  for (std::size_t j = n; j-- > 0 && next < surplus.size();) {
+    Worker* w = active[order[j]];
+    for (std::size_t k = have[order[j]];
+         k < want[order[j]] && next < surplus.size(); ++k) {
+      if (w->in->push_for(surplus[next].first, support::SimDuration(0)) !=
+          support::ChannelStatus::Ok)
+        break;
+      ++moved;
+      ++next;
     }
-    const std::size_t hi = depth(longest);
-    const std::size_t lo = depth(shortest);
-    if (hi <= lo + 1) break;
-    const std::size_t k = (hi - lo) / 2;
-    // Data only: a poison pill queued by end of stream or remove_worker()
-    // (which can land between the snapshot above and this steal) stays
-    // with its worker; moved, it would retire another worker twice and
-    // leave this one waiting forever.
-    auto stolen = longest->in->steal_data_back(k);
-    if (stolen.empty()) break;  // the spread lives in staged batches
-    for (auto& t : stolen) {
-      // Never block on a give-back: every queue (including the source,
-      // which workers keep draining) gets a non-blocking offer, shortest
-      // first. Blocking here deadlocked when all queues were full and the
-      // workers themselves were parked on a full collector queue.
-      if (shortest->in->push_for(t, support::SimDuration(0)) ==
+  }
+  // What found no room where the plan put it: offer it to every queue
+  // (including its source, which its worker keeps draining), shortest first;
+  // as a last resort (everything full) park it, and the collector delivers
+  // parked tasks at shutdown rather than losing them.
+  for (; next < surplus.size(); ++next) {
+    auto& [t, from] = surplus[next];
+    std::vector<Worker*> by_depth(active);
+    std::sort(by_depth.begin(), by_depth.end(),
+              [&](Worker* a, Worker* b) { return depth(a) < depth(b); });
+    bool placed = false;
+    for (Worker* w : by_depth) {
+      if (w->in->push_for(t, support::SimDuration(0)) ==
           support::ChannelStatus::Ok) {
-        ++moved;
-        continue;
+        if (w != from) ++moved;
+        placed = true;
+        break;
       }
-      std::vector<Worker*> by_depth(active);
-      std::sort(by_depth.begin(), by_depth.end(),
-                [&](Worker* a, Worker* b) { return depth(a) < depth(b); });
-      bool placed = false;
-      for (Worker* w : by_depth) {
-        if (w->in->push_for(t, support::SimDuration(0)) ==
-            support::ChannelStatus::Ok) {
-          if (w != longest) ++moved;
-          placed = true;
-          break;
-        }
-      }
-      // Last resort (everything full): park it; the collector delivers
-      // parked tasks at shutdown rather than losing them.
-      if (!placed) stash_orphan(std::move(t));
     }
+    if (!placed) stash_orphan(std::move(t));
   }
   return moved;
 }
@@ -359,6 +377,13 @@ std::size_t Farm::running_workers() const {
   return n;
 }
 
+std::size_t Farm::depth(const Worker* w) {
+  // Channel first: a batch leaves the channel's count only after
+  // pop_n_staged() has added it to `staged`.
+  const std::size_t queued = w->in->size();
+  return queued + w->staged.load(std::memory_order_relaxed);
+}
+
 std::vector<std::size_t> Farm::queue_lengths() const {
   // Queued = in the channel + staged in the worker's popped-but-unclaimed
   // batch. Without the staged share, batching would hide up to
@@ -368,7 +393,7 @@ std::vector<std::size_t> Farm::queue_lengths() const {
   std::size_t total = 0;
   for (const Worker* w : snap->all)
     if (!w->retiring.load()) {
-      out.push_back(w->in->size() + w->staged.load(std::memory_order_relaxed));
+      out.push_back(depth(w));
       total += out.back();
     }
   farm_obs().queued.set(static_cast<double>(total));
@@ -492,12 +517,9 @@ void Farm::emitter_loop() {
         fresh();
         // Shortest by channel + staged batch: a worker serially chewing
         // through a popped batch has an empty channel but is not idle.
-        const auto qload = [](const Worker* w) {
-          return w->in->size() + w->staged.load(std::memory_order_relaxed);
-        };
         Worker* best = snap->sched.front();
         for (Worker* w : snap->sched)
-          if (qload(w) < qload(best)) best = w;
+          if (depth(w) < depth(best)) best = w;
         if (best->in->push_for(t, support::SimDuration(0)) ==
             support::ChannelStatus::Ok)
           break;
@@ -585,7 +607,9 @@ void Farm::worker_loop(Worker* w) {
   bool crashed = false;
   while (!poisoned && !crashed) {
     batch.clear();
-    if (w->in->pop_n(batch, kWorkerBatch) != support::ChannelStatus::Ok) break;
+    if (w->in->pop_n_staged(batch, kWorkerBatch, w->staged) !=
+        support::ChannelStatus::Ok)
+      break;
     farm_obs().worker_batch.observe(static_cast<double>(batch.size()));
 
     // Stage the whole batch for crash recovery before executing any of it.
@@ -594,6 +618,7 @@ void Farm::worker_loop(Worker* w) {
     {
       support::MutexLock lk(w->inflight_mu);
       if (w->failed.load()) {
+        w->staged.store(0, std::memory_order_relaxed);
         lk.unlock();
         for (Task& t : batch)
           if (t.is_data()) resubmit(std::move(t));

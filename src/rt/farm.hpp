@@ -218,6 +218,9 @@ class Farm final : public Runnable {
   /// in-flight task (exactly once, racing the worker's own recovery),
   /// redistribute, and account the failure.
   void recover_worker(Worker* victim);
+  /// Tasks queued for `w`: its channel plus its staged batch, read in the
+  /// order that never misses a batch mid-pop (Conduit::pop_n_staged).
+  static std::size_t depth(const Worker* w);
   void stash_orphan(Task t);        // no survivor: park for the replacement
   void flush_orphans_to(Worker* w); // new worker inherits parked tasks
 

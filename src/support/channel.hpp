@@ -135,6 +135,15 @@ class Channel {
     return pop_n_until(out, max, Deadline(d));
   }
 
+  /// As pop_n(), calling `on_take(k)` under the lock once the k items taken
+  /// sit at the back of `out`, before size() stops counting them: a reader
+  /// that adds size() to a count kept by `on_take` (size() first) never
+  /// misses a batch on its way to the consumer.
+  template <class OnTake>
+  ChannelStatus pop_n(std::vector<T>& out, std::size_t max, OnTake on_take) {
+    return pop_n_until(out, max, Deadline(), on_take);
+  }
+
   /// Non-blocking pop.
   std::optional<T> try_pop() {
     std::optional<T> out;
@@ -162,7 +171,7 @@ class Channel {
   /// Lock-free queue depth (an atomic mirror updated inside every critical
   /// section — exact whenever the channel is quiescent, and never more than
   /// one operation stale under contention).
-  std::size_t size() const { return size_.load(std::memory_order_relaxed); }
+  std::size_t size() const { return size_.load(std::memory_order_acquire); }
 
   std::size_t capacity() const { return capacity_; }
 
@@ -255,8 +264,13 @@ class Channel {
     return ChannelStatus::Ok;
   }
 
+  struct NoTake {
+    void operator()(std::size_t) const {}
+  };
+
+  template <class OnTake = NoTake>
   ChannelStatus pop_n_until(std::vector<T>& out, std::size_t max,
-                            Deadline dl) {
+                            Deadline dl, OnTake on_take = {}) {
     std::size_t take = 0;
     for (;;) {
       {
@@ -267,6 +281,7 @@ class Channel {
             out.push_back(std::move(q_.front()));
             q_.pop_front();
           }
+          on_take(take);
           size_.store(q_.size(), std::memory_order_release);
           break;
         }
