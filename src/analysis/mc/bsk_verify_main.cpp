@@ -1,20 +1,23 @@
 // bsk-verify: exhaustive model checking of the cluster protocols, CRDT law
 // checking, and lock-order deadlock analysis — all over the *shipped*
-// protocol code (gossip_core, resume_core, MembershipTable), not a spec.
+// protocol code (gossip_core, resume_core, MembershipTable), not a spec —
+// plus a step model of the wait ladder's futex park/wake protocol.
 //
-//   bsk-verify                  # gossip + resume explorers + CRDT laws
+//   bsk-verify                  # gossip + resume + wake explorers + CRDT
 //   bsk-verify --gossip         # just the gossip explorer (+ law scripts)
 //   bsk-verify --resume         # just the session-resume explorer
 //   bsk-verify --crdt           # just the CRDT law checker
+//   bsk-verify --wake           # just the park/wake explorer
 //   bsk-verify --locks          # in-process fleet under the lock recorder
 //   bsk-verify --defect <name>  # seed a historical bug; exit 1 iff caught
 //   bsk-verify --n 3 --rounds 2 --depth 28 --drops 1 --dups 1 --departs 1
 //   bsk-verify --tasks 3 --window 2 --kills 1   # resume model budgets
 //
 // Defect names: tombstone-gossip, delta-boundary, skip-repair (gossip core
-// seams) and lock-inversion (--locks). A defect run *inverts* the exit
-// code contract: the verifier must FIND the bug (exit 0 when found, 1 when
-// it slipped through) — the mutation fixtures in tests/ call it this way.
+// seams), lock-inversion (--locks), late-seq and double-leave (--wake). A
+// defect run *inverts* the exit code contract: the verifier must FIND the
+// bug (exit 0 when found, 1 when it slipped through) — the mutation
+// fixtures in tests/ call it this way.
 //
 // Exit codes: 0 all checks passed (or seeded defect detected), 1 violation
 // found (or seeded defect missed), 2 usage error.
@@ -22,11 +25,13 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <tuple>
 
 #include "analysis/mc/crdt_check.hpp"
 #include "analysis/mc/gossip_model.hpp"
 #include "analysis/mc/lock_scenario.hpp"
 #include "analysis/mc/resume_model.hpp"
+#include "analysis/mc/wake_model.hpp"
 
 namespace {
 
@@ -49,9 +54,9 @@ void print_violation(const char* what, const ExploreResult& r) {
 
 int usage() {
   std::cout
-      << "usage: bsk-verify [--gossip|--resume|--crdt|--locks]\n"
+      << "usage: bsk-verify [--gossip|--resume|--crdt|--locks|--wake]\n"
          "                  [--defect tombstone-gossip|delta-boundary|"
-         "skip-repair|lock-inversion]\n"
+         "skip-repair|lock-inversion|late-seq|double-leave]\n"
          "                  [--n N] [--rounds N] [--depth N] [--drops N]\n"
          "                  [--dups N] [--departs N] [--tasks N] "
          "[--window N] [--kills N]\n";
@@ -62,7 +67,7 @@ int usage() {
 
 int main(int argc, char** argv) {
   bool do_gossip = false, do_resume = false, do_crdt = false,
-       do_locks = false;
+       do_locks = false, do_wake = false;
   std::string defect;
   GossipOptions go;
   ResumeOptions ro;
@@ -78,6 +83,7 @@ int main(int argc, char** argv) {
     else if (a == "--resume") do_resume = true;
     else if (a == "--crdt") do_crdt = true;
     else if (a == "--locks") do_locks = true;
+    else if (a == "--wake") do_wake = true;
     else if (a == "--defect" && i + 1 < argc) defect = argv[++i];
     else if (a == "--n") { if (!num(go.n)) return usage(); }
     else if (a == "--rounds") { if (!num(go.rounds)) return usage(); }
@@ -106,11 +112,16 @@ int main(int argc, char** argv) {
     else if (a == "--help" || a == "-h") { usage(); return 0; }
     else return usage();
   }
-  if (!do_gossip && !do_resume && !do_crdt && !do_locks)
-    do_gossip = do_resume = do_crdt = true;
+  if (!do_gossip && !do_resume && !do_crdt && !do_locks && !do_wake)
+    do_gossip = do_resume = do_crdt = do_wake = true;
 
   bool defect_is_lock = defect == "lock-inversion";
-  if (!defect.empty() && !defect_is_lock) {
+  WakeDefect wake_defect = WakeDefect::None;
+  if (defect == "late-seq")
+    wake_defect = WakeDefect::LateSeq;
+  else if (defect == "double-leave")
+    wake_defect = WakeDefect::DoubleLeave;
+  if (!defect.empty() && !defect_is_lock && wake_defect == WakeDefect::None) {
     if (defect == "tombstone-gossip")
       go.defect = bsk::cluster::GossipDefect::DropTombstones;
     else if (defect == "delta-boundary")
@@ -175,6 +186,29 @@ int main(int argc, char** argv) {
                 << ", kills=" << ro.kills << ")\n";
     }
     print_stats("resume", r.stats);
+  }
+
+  if (do_wake) {
+    // Two shapes: wake(1) racing a wake-all close, and three waiters
+    // sharing two single wakes.
+    for (const auto& [consumers, pushes, close] :
+         {std::tuple<std::size_t, std::size_t, bool>{2, 2, true},
+          std::tuple<std::size_t, std::size_t, bool>{3, 2, false}}) {
+      WakeOptions wo;
+      wo.consumers = consumers;
+      wo.pushes = pushes;
+      wo.close = close;
+      wo.defect = wake_defect;
+      const ExploreResult r = run_wake_explore(wo);
+      if (!r.ok) {
+        print_violation("wake explore", r);
+        violated = true;
+      } else {
+        std::cout << "wake explore: ok (consumers=" << consumers
+                  << ", pushes=" << pushes << ", close=" << close << ")\n";
+      }
+      print_stats("wake", r.stats);
+    }
   }
 
   if (do_crdt) {

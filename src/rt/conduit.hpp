@@ -80,8 +80,9 @@ class Conduit {
 
   /// As pop_n(), adding the number of data tasks taken to `staged` before
   /// size() stops counting them, so size() + staged (read in that order)
-  /// never misses a batch on its way to the worker.
-  virtual support::ChannelStatus pop_n_staged(
+  /// never misses a batch on its way to the worker. Local queues only: no
+  /// subclass overrides pop_n().
+  support::ChannelStatus pop_n_staged(
       std::vector<Task>& out, std::size_t max,
       std::atomic<std::size_t>& staged) {
     return ch_.pop_n(out, max, [&out, &staged](std::size_t k) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <utility>
+#include <cstdint>
 
 #include "obs/metrics.hpp"
 #include "rt/ordered_window.hpp"
@@ -265,74 +265,61 @@ std::size_t Farm::rebalance() {
     if (!w->retiring.load() && !w->failed.load()) active.push_back(w);
   if (active.size() < 2) return 0;
 
-  // Plan every move from one reading of the depths, then move. Depth counts
-  // the channel plus the worker's staged batch so the plan matches what
-  // queue_lengths() reports; only the channel share is stealable — staged
-  // tasks belong to their worker. Re-reading depths while moving chased a
-  // worker caught between popping a batch and staging it: it read as empty
-  // and was handed another share, leaving a spread of a whole batch.
-  const std::size_t n = active.size();
-  std::vector<std::size_t> have(n);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) total += have[i] = depth(active[i]);
-  // Target total/n each; the remainder stays on the deepest queues, which
-  // moves the fewest tasks.
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return have[a] > have[b];
-                   });
-  std::vector<std::size_t> want(n);
-  for (std::size_t j = 0; j < n; ++j)
-    want[order[j]] = total / n + (j < total % n ? 1 : 0);
-
-  // Data only: a poison pill queued by end of stream or remove_worker()
-  // (which can land between the snapshot above and this steal) stays with
-  // its worker; moved, it would retire another worker twice and leave this
-  // one waiting forever.
-  std::vector<std::pair<Task, Worker*>> surplus;  // task, where it came from
-  for (std::size_t i = 0; i < n; ++i) {
-    if (have[i] <= want[i]) continue;
-    for (auto& t : active[i]->in->steal_data_back(have[i] - want[i]))
-      surplus.emplace_back(std::move(t), active[i]);
-  }
-
   std::size_t moved = 0;
-  std::size_t next = 0;  // first surplus task not yet placed
-  // Never block on a give-back: every offer is non-blocking. Blocking here
-  // deadlocked when all queues were full and the workers themselves were
-  // parked on a full collector queue. Shallowest queues fill first.
-  for (std::size_t j = n; j-- > 0 && next < surplus.size();) {
-    Worker* w = active[order[j]];
-    for (std::size_t k = have[order[j]];
-         k < want[order[j]] && next < surplus.size(); ++k) {
-      if (w->in->push_for(surplus[next].first, support::SimDuration(0)) !=
-          support::ChannelStatus::Ok)
-        break;
-      ++moved;
-      ++next;
+  // Iterate until queue depths are within 1 of each other (or nothing can
+  // be moved). Depth counts the channel plus the worker's staged batch so
+  // the balance matches what queue_lengths() reports; only the channel
+  // share is stealable — staged tasks belong to their worker.
+  for (int pass = 0; pass < 64; ++pass) {
+    Worker* longest = active.front();
+    Worker* shortest = active.front();
+    std::size_t hi = 0, lo = SIZE_MAX, total = 0;
+    for (Worker* w : active) {
+      const std::size_t d = depth(w);
+      total += d;
+      if (d > hi) hi = d, longest = w;
+      if (d < lo) lo = d, shortest = w;
     }
-  }
-  // What found no room where the plan put it: offer it to every queue
-  // (including its source, which its worker keeps draining), shortest first;
-  // as a last resort (everything full) park it, and the collector delivers
-  // parked tasks at shutdown rather than losing them.
-  for (; next < surplus.size(); ++next) {
-    auto& [t, from] = surplus[next];
-    std::vector<Worker*> by_depth(active);
-    std::sort(by_depth.begin(), by_depth.end(),
-              [&](Worker* a, Worker* b) { return depth(a) < depth(b); });
-    bool placed = false;
-    for (Worker* w : by_depth) {
-      if (w->in->push_for(t, support::SimDuration(0)) ==
+    if (hi <= lo + 1) break;
+    // Fill the shortest queue up to the mean (rounded down), not by half
+    // the gap: its worker may stage what it gets before the next pass, and
+    // staged tasks cannot be moved on, so an overfilled queue would stay
+    // overfilled.
+    const std::size_t mean = total / active.size();
+    const std::size_t k =
+        std::min((hi - lo) / 2, std::max<std::size_t>(mean - lo, 1));
+    // Data only: a poison pill queued by end of stream or remove_worker()
+    // (which can land between the snapshot above and this steal) stays
+    // with its worker; moved, it would retire another worker twice and
+    // leave this one waiting forever.
+    auto stolen = longest->in->steal_data_back(k);
+    if (stolen.empty()) break;  // the spread lives in staged batches
+    for (auto& t : stolen) {
+      // Never block on a give-back: every queue (including the source,
+      // which workers keep draining) gets a non-blocking offer, shortest
+      // first. Blocking here deadlocked when all queues were full and the
+      // workers themselves were parked on a full collector queue.
+      if (shortest->in->push_for(t, support::SimDuration(0)) ==
           support::ChannelStatus::Ok) {
-        if (w != from) ++moved;
-        placed = true;
-        break;
+        ++moved;
+        continue;
       }
+      std::vector<Worker*> by_depth(active);
+      std::sort(by_depth.begin(), by_depth.end(),
+                [&](Worker* a, Worker* b) { return depth(a) < depth(b); });
+      bool placed = false;
+      for (Worker* w : by_depth) {
+        if (w->in->push_for(t, support::SimDuration(0)) ==
+            support::ChannelStatus::Ok) {
+          if (w != longest) ++moved;
+          placed = true;
+          break;
+        }
+      }
+      // Last resort (everything full): park it; the collector delivers
+      // parked tasks at shutdown rather than losing them.
+      if (!placed) stash_orphan(std::move(t));
     }
-    if (!placed) stash_orphan(std::move(t));
   }
   return moved;
 }
@@ -730,6 +717,11 @@ void Farm::worker_loop(Worker* w) {
     if (cfg_.policy != SchedPolicy::Broadcast) {
       for (Task& t : leftover)
         if (t.is_data()) to_recover.push_back(std::move(t));
+      // Close first, as the crashed path below does: a push that lands
+      // after this steal (an emitter, resubmit or rebalance that chose us
+      // before we retired) would sit in a queue nobody pops. Closed, it
+      // fails and takes the re-routing path.
+      w->in->close();
       for (Task& t : w->in->steal_back(w->in->size() + 8))
         if (t.is_data()) to_recover.push_back(std::move(t));
     }

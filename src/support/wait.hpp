@@ -40,9 +40,15 @@
 // value. The waker's seq_cst bump and `waiters` load against the waiter's
 // seq_cst increment and the kernel's barriered `seq` read form a
 // store-buffering pair, so either the kernel sees the bump or the waker
-// sees the count. A park slice that times out and then finds its
-// condition true is counted (bsk_support_wait_slice_timeouts_with_data_total
-// once obs is linked): it is a wake-up that was due and never came.
+// sees the count. The waker subtracts the waiters FUTEX_WAKE reports woken
+// (the kernel returns 0 from FUTEX_WAIT exactly for those), so pushes that
+// follow before they run skip the syscall; a waiter whose FUTEX_WAIT
+// returns anything else leaves the count itself. bsk-verify --wake
+// (analysis/mc/wake_model.hpp) explores this protocol step by step, with
+// seeded defects it must catch. A park slice that times out and then finds
+// its condition true is counted
+// (bsk_support_wait_slice_timeouts_with_data_total once obs is linked): it is
+// a wake-up that was due and never came.
 //
 // The `seq`/`waiters` pair may live in a shared mapping (the shm RingCtl
 // words, WaitScope::Shared, non-private futex ops); the poll hint of a

@@ -1,4 +1,4 @@
-// bsk-verify internals: the explorer on toy models, the gossip/resume
+// bsk-verify internals: the explorer on toy models, the gossip/resume/wake
 // models at unit budgets, the scripted law scenarios against every seeded
 // defect, the CRDT law checker, and the registry<->cluster constant sync.
 
@@ -15,6 +15,7 @@
 #include "analysis/mc/explorer.hpp"
 #include "analysis/mc/gossip_model.hpp"
 #include "analysis/mc/resume_model.hpp"
+#include "analysis/mc/wake_model.hpp"
 #include "analysis/registry.hpp"
 #include "cluster/node.hpp"
 #include "support/event_log.hpp"
@@ -150,6 +151,33 @@ TEST(ResumeModel, FaultFreeWindowedRunIsClean) {
   ro.kills = 0;
   const ExploreResult r = run_resume_explore(ro);
   EXPECT_TRUE(r.ok) << r.violation.property << ": " << r.violation.detail;
+}
+
+// ----------------------------------------------------------- wake model
+
+TEST(WakeModel, ShippedProtocolLosesNoWakeupExhaustively) {
+  for (const bool close : {true, false}) {
+    WakeOptions wo;
+    wo.close = close;
+    const ExploreResult r = run_wake_explore(wo);
+    EXPECT_TRUE(r.ok) << r.violation.property << ": " << r.violation.detail;
+    EXPECT_GT(r.stats.states_explored, 1000u);
+    EXPECT_FALSE(r.stats.truncated);
+  }
+}
+
+TEST(WakeModel, SeededDefectsAreCaught) {
+  WakeOptions late;
+  late.defect = WakeDefect::LateSeq;
+  const ExploreResult a = run_wake_explore(late);
+  EXPECT_FALSE(a.ok);
+  EXPECT_EQ(a.violation.property, "no lost wake-up");
+
+  WakeOptions twice;
+  twice.defect = WakeDefect::DoubleLeave;
+  const ExploreResult b = run_wake_explore(twice);
+  EXPECT_FALSE(b.ok);
+  EXPECT_FALSE(b.trace.empty());
 }
 
 // ----------------------------------------------------------- crdt laws
